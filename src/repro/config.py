@@ -96,13 +96,21 @@ class RecoveryConfig:
             )
 
 
+#: Modelled stage concurrency when ``ClusterConfig.max_concurrent_stages``
+#: is ``None``.
+DEFAULT_MAX_CONCURRENT_STAGES = 8
+
+
 @dataclasses.dataclass(frozen=True)
 class ClusterConfig:
     """Static description of the (simulated) cluster.
 
     Attributes:
         num_workers: number of worker nodes ``K`` (paper: 4 default, up to 20).
-        threads_per_worker: local parallelism ``L`` (paper: 8).
+        threads_per_worker: local parallelism ``L`` (paper: 8).  A model
+            parameter: the clock divides compute by it and the In-Place
+            engine charges ``L`` transient partials; block tasks run
+            serially on the host.
         block_size: rows/columns per square block, or ``None`` to let the
             engine choose via Equation 3 of the paper.
         inplace: use the In-Place local aggregation strategy when ``True``
@@ -113,8 +121,11 @@ class ClusterConfig:
             paper's "Buffer cannot run Wikipedia in 48 GB" observation.
         clock: simulated clock parameters.
         max_concurrent_stages: how many independent stage-graph nodes the
-            runtime may dispatch at once; ``None`` uses the scheduler
-            default, ``1`` forces the historical serial order.
+            modelled cluster runs at once, which sizes the concurrent
+            peak-memory bound; ``None`` means
+            :data:`DEFAULT_MAX_CONCURRENT_STAGES`.  Stages run serially on
+            the host whatever the value; the simulated clock charges
+            independent stages the max of their durations.
         recovery: fault-tolerance parameters (retry/backoff, checkpointing,
             speculative re-execution) consumed when a
             :class:`~repro.faults.ChaosEngine` is installed.

@@ -52,10 +52,10 @@ _MAX_HASH = float(2**64)
 class ChaosEngine:
     """Injects the faults of a parsed spec at deterministic points.
 
-    Thread-safe: hooks are called from concurrent scheduler threads; all
-    mutable state (fire budgets, attempt counters, the injected-event list)
-    is lock-protected, and every *decision* is a pure function of the seed
-    and the point name, so concurrency cannot change what fires.
+    Thread-safe: all mutable state (fire budgets, attempt counters, the
+    injected-event list) is lock-protected, and every *decision* is a pure
+    function of the seed and the point name, so run order cannot change
+    what fires.
     """
 
     def __init__(self, seed: int, faults: str | tuple[FaultClause, ...]) -> None:

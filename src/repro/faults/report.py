@@ -1,10 +1,10 @@
 """Chaos-run reporting: the event log and the clean-vs-faulted report.
 
-Events are emitted from concurrent scheduler threads, so their arrival
-order is host-scheduling noise.  Everything surfaced to a report is
-canonically sorted (by the JSON encoding of the event), which is what lets
-two chaos runs with the same seed produce *byte-identical* ``--format
-json`` reports -- the determinism gate CI enforces.
+Event arrival order follows the host's run order, which is not part of
+the model.  Everything surfaced to a report is canonically sorted (by the
+JSON encoding of the event), which is what lets two chaos runs with the
+same seed produce *byte-identical* ``--format json`` reports -- the
+determinism gate CI enforces.
 """
 
 from __future__ import annotations

@@ -33,8 +33,8 @@ Kinds and their options:
 often a clause fires *per point* -- per stage island for ``crash`` /
 ``straggler`` / ``flaky``, per instance for ``lostblock`` (default 1,
 ``0`` = unlimited).  Per-point accounting is what keeps two runs with the
-same seed byte-identical even when stages execute concurrently: no
-clause's budget is consumed in host-thread order.
+same seed byte-identical whatever order stages run in: no clause's
+budget is consumed in host run order.
 """
 
 from __future__ import annotations

@@ -26,9 +26,8 @@ runtime:
   ascending-``k`` level runs as one broadcast ``np.matmul``.
 * Freshly allocated stacking buffers page-fault on first touch, which can
   cost several times the stacked matmul itself.  :class:`StackBufferCache`
-  keeps warm buffers alive across stages (checkout/checkin, so
-  concurrently dispatched stage nodes on one engine never share a live
-  buffer).
+  keeps warm buffers alive across stages (checkout/checkin, so two
+  callers of one engine never share a live buffer).
 
 Past :data:`BATCH_MAX_DIM` the per-block dgemm dominates both paths and
 batching is noise, so the engine leaves such grids on the serial path.
@@ -150,8 +149,8 @@ class StackBufferCache:
 
     ``checkout`` hands the caller exclusive base buffers; ``checkin``
     returns them for reuse once the caller no longer holds views into
-    them.  Buffers are only ever reused after checkin, so concurrent
-    stage nodes dispatching on the same engine each get private buffers.
+    them.  Buffers are only ever reused after checkin, so two caller
+    threads driving the same engine each get private buffers.
     """
 
     def __init__(self) -> None:

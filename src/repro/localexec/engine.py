@@ -1,13 +1,16 @@
 """The per-worker block execution engine (paper Section 5.3, Figure 4).
 
 Each worker turns a grid-level operation into independent per-block tasks,
-pushes them through a thread pool, and meters flops and (model) memory.
+runs them in order, and meters flops and (model) memory.  The paper's ``L``
+local threads are a model parameter (``threads``), not host threads: the
+simulated clock divides compute by ``L``, and the In-Place fold charges
+the ``L`` transient partials that ``L`` active tasks would hold.
 Two aggregation strategies are provided for block matrix multiplication:
 
 * ``inplace=True`` -- the paper's **In-Place** strategy.  One task per
   result block; every partial product is folded straight into a pooled
   result block, so at any instant only the transient partial of each
-  *active* task exists.
+  *active* task exists -- ``min(L, tasks)`` of them.
 * ``inplace=False`` -- the traditional **Buffer** strategy.  One task per
   partial product; all ``M_A x N_A x N_B`` partial blocks are buffered and
   aggregated at the end, which is what makes its peak memory blow up on
@@ -21,16 +24,16 @@ caller invokes :meth:`LocalEngine.release_grid`.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
+import heapq
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from repro.blocks import ops
 from repro.blocks.dense import DenseBlock
+from repro.blocks.memory import dense_block_model_bytes
 from repro.blocks.ops import Block
 from repro.blocks.sparse import CSCBlock
 from repro.errors import BlockError
@@ -57,9 +60,9 @@ Grid = dict[BlockKey, Block]
 class EngineStats:
     """Counters accumulated across all operations run by one engine.
 
-    Internally locked: primitives and block tasks report from arbitrary
-    threads (the engine's own pool, and concurrently running stages).  Each
-    ``record`` also notifies the active
+    Internally locked, so counts stay exact if two caller threads ever
+    drive the same engine; block tasks themselves run serially on the
+    calling thread.  Each ``record`` also notifies the active
     :class:`~repro.runtime.metering.StageMeter`, if one is installed, so
     the stage scheduler can attribute flops to the stage that caused them.
     """
@@ -97,7 +100,11 @@ class EngineStats:
 
 
 class LocalEngine:
-    """Block-parallel executor for one worker node."""
+    """Block executor for one worker node.
+
+    ``threads`` is the paper's ``L``: tasks run serially on the calling
+    thread, and ``L`` only sizes the In-Place fold's modelled transients.
+    """
 
     def __init__(
         self,
@@ -150,8 +157,7 @@ class LocalEngine:
             if batch_plan is not None:
                 results = self._run_grid_batched(a_grid, b_grid, batch_plan)
             else:
-                tasks = inplace_matmul_tasks(a_grid, b_grid)
-                results = self._run(tasks, self._run_inplace_task)
+                results = self._inplace_matmul(a_grid, b_grid)
             return {r.result_key: r.block for r in results}
         return self._buffered_matmul(a_grid, b_grid)
 
@@ -225,19 +231,35 @@ class LocalEngine:
         tasks = list(tasks)
         self.stats.add_tasks(len(tasks))
         runner = _traced(runner)
-        if self.threads == 1 or len(tasks) <= 1:
-            return [runner(task) for task in tasks]
-        with ThreadPoolExecutor(max_workers=self.threads) as executor:
-            return _map_in_copied_contexts(executor, runner, tasks)
+        return [runner(task) for task in tasks]
+
+    def _inplace_matmul(self, a_grid: Grid, b_grid: Grid) -> list[TaskResult]:
+        """In-Place aggregation, one task per result block.
+
+        ``L`` active tasks would each hold one transient partial while
+        folding it in, so the fold charges the ``min(L, tasks)`` largest
+        result-shaped partials for its whole duration.  That keeps the
+        modelled peak independent of host scheduling and within
+        :mod:`repro.verify.memory`'s In-Place term.
+        """
+        tasks = inplace_matmul_tasks(a_grid, b_grid)
+        in_flight = sum(
+            heapq.nlargest(
+                self.threads,
+                (dense_block_model_bytes(*task.result_shape) for task in tasks),
+            )
+        )
+        self.tracker.allocate(in_flight)
+        try:
+            return self._run(tasks, self._run_inplace_task)
+        finally:
+            self.tracker.release(in_flight)
 
     def _run_inplace_task(self, task: MultiplyAccumulateTask) -> TaskResult:
         target = self.pool.acquire(*task.result_shape)
         for left, right in task.pairs:
             flops, partial = self._pair_product(left, right)
-            # The transient partial exists only while it is being folded in.
-            self.tracker.allocate(partial.model_nbytes)
             ops.accumulate(target, partial)
-            self.tracker.release(partial.model_nbytes)
             self._record(flops, left.is_sparse or right.is_sparse)
         return TaskResult(task.result_key, target, pooled=True)
 
@@ -290,8 +312,7 @@ class LocalEngine:
         folded into the accumulator plane with plain elementwise adds.
         Per-element that is the exact float sequence of the serial fold
         (zeroed target, ``+=`` partial in ascending ``k``), so results are
-        byte-identical.  Block rows are slabbed across the engine's
-        threads.
+        byte-identical.
 
         The warm stacking buffers live *outside* the paper's byte model:
         the model (and :mod:`repro.verify.memory`'s predictions) meters
@@ -310,9 +331,11 @@ class LocalEngine:
         a_base = cache.checkout(num_rows * depth, (m, k))
         b_base = cache.checkout(depth * num_cols, (k, n))
         acc_base = cache.checkout(num_rows * num_cols, (m, n))
+        prod_base = cache.checkout(num_rows * num_cols, (m, n))
         a_stack = a_base[: num_rows * depth].reshape(num_rows, depth, m, k)
         b_stack = b_base[: depth * num_cols].reshape(depth, num_cols, k, n)
         acc = acc_base[: num_rows * num_cols].reshape(num_rows, num_cols, m, n)
+        prod = prod_base[: num_rows * num_cols].reshape(num_rows, num_cols, m, n)
         try:
             for ri, i in enumerate(rows):
                 for ti, key in enumerate(inner):
@@ -321,43 +344,23 @@ class LocalEngine:
                 for cj, j in enumerate(cols):
                     b_stack[ti, cj] = b_grid[key, j].data
 
-            def run_slab(slab: tuple[int, int]) -> list[TaskResult]:
-                start, stop = slab
-                span = stop - start
-                prod_base = cache.checkout(span * num_cols, (m, n))
-                prod = prod_base[: span * num_cols].reshape(
-                    span, num_cols, m, n
-                )
-                acc_slab = acc[start:stop]
-                acc_slab[...] = 0.0
+            def fold(plan: kernel_batch.GridProductPlan) -> list[TaskResult]:
+                acc[...] = 0.0
                 for level in range(depth):
-                    np.matmul(
-                        a_stack[start:stop, level][:, None],
-                        b_stack[level],
-                        out=prod,
-                    )
-                    np.add(acc_slab, prod, out=acc_slab)
+                    np.matmul(a_stack[:, level][:, None], b_stack[level], out=prod)
+                    np.add(acc, prod, out=acc)
                 results: list[TaskResult] = []
-                for ri in range(start, stop):
-                    for cj in range(num_cols):
+                for ri, i in enumerate(rows):
+                    for cj, j in enumerate(cols):
                         target = self.pool.acquire(m, n)
                         np.copyto(target.data, acc[ri, cj])
                         self._record(plan.flops_per_task, False)
-                        results.append(
-                            TaskResult((rows[ri], cols[cj]), target, pooled=True)
-                        )
-                cache.checkin(prod_base)
+                        results.append(TaskResult((i, j), target, pooled=True))
                 return results
 
-            slabs = _row_slabs(num_rows, self.threads)
-            run_slab = _traced(run_slab)
-            if len(slabs) == 1:
-                return run_slab(slabs[0])
-            with ThreadPoolExecutor(max_workers=self.threads) as executor:
-                chunked = _map_in_copied_contexts(executor, run_slab, slabs)
-            return [result for chunk in chunked for result in chunk]
+            return _traced(fold)(plan)
         finally:
-            cache.checkin(a_base, b_base, acc_base)
+            cache.checkin(a_base, b_base, acc_base, prod_base)
 
     def _buffered_matmul(self, a_grid: Grid, b_grid: Grid) -> Grid:
         tasks = buffered_matmul_tasks(a_grid, b_grid)
@@ -370,11 +373,7 @@ class LocalEngine:
             return task.result_key, partial
 
         multiply = _traced(multiply)
-        if self.threads == 1 or len(tasks) <= 1:
-            partials = [multiply(task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(max_workers=self.threads) as executor:
-                partials = _map_in_copied_contexts(executor, multiply, tasks)
+        partials = [multiply(task) for task in tasks]
 
         # All partials are alive here -- this is the Buffer strategy's peak.
         grouped: dict[BlockKey, list[DenseBlock]] = {}
@@ -466,41 +465,6 @@ class LocalEngine:
 
     def _record(self, flops: int, sparse: bool) -> None:
         self.stats.record(flops, sparse)
-
-
-def _row_slabs(num_rows: int, threads: int) -> list[tuple[int, int]]:
-    """Split ``range(num_rows)`` into at most ``threads`` contiguous
-    near-equal ``(start, stop)`` slabs."""
-    count = max(1, min(threads, num_rows))
-    bounds = [round(num_rows * part / count) for part in range(count + 1)]
-    return [
-        (start, stop)
-        for start, stop in zip(bounds, bounds[1:])
-        if stop > start
-    ]
-
-
-def _map_in_copied_contexts(
-    executor: ThreadPoolExecutor, runner: Callable, tasks: list
-) -> list:
-    """``executor.map(runner, tasks)``, with each task run under a fresh
-    copy of the submitting thread's :mod:`contextvars` context.
-
-    Context variables do not propagate into :class:`ThreadPoolExecutor`
-    workers by default, so without this the pool threads would lose the
-    submitting stage's entire execution context: its
-    :class:`~repro.runtime.metering.StageMeter`, the
-    :class:`~repro.rdd.ledger.CommunicationLedger` scope stack (block
-    tasks used to record transfers under an *empty* scope), and the
-    tracer's stage position.  Each task gets its own copy because a single
-    ``Context`` object cannot be entered by two threads at once.
-    """
-    contexts = [contextvars.copy_context() for _ in tasks]
-    futures = [
-        executor.submit(context.run, runner, task)
-        for context, task in zip(contexts, tasks)
-    ]
-    return [future.result() for future in futures]
 
 
 def _traced(runner: Callable) -> Callable:

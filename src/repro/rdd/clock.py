@@ -49,10 +49,10 @@ class SimulatedClock:
     """Accumulates simulated seconds from metered bytes and flops.
 
     Thread-safe.  When a :class:`~repro.runtime.metering.StageMeter` is
-    installed on the calling thread (the concurrent stage scheduler runs
-    each stage under one), charges are redirected to that meter instead of
-    the global total: concurrently executing stages must not each add their
-    full duration to a single serial timeline.  The scheduler later commits
+    installed on the calling thread (the stage scheduler runs each stage
+    under one), charges are redirected to that meter instead of the global
+    total: stages the model runs concurrently must not each add their full
+    duration to a single serial timeline.  The scheduler later commits
     the critical-path total through :meth:`advance`.
     """
 

@@ -26,15 +26,14 @@ from repro.trace.emit import active_tracer, current_stage
 TRANSFER_KINDS = ("shuffle", "broadcast", "rebalance")
 
 #: Scope stacks per ledger instance, keyed by ``id(ledger)``.  A
-#: :mod:`contextvars` variable -- not ``threading.local`` -- so that when
-#: :meth:`repro.localexec.engine.LocalEngine._run` copies the submitting
-#: stage's context into its pool threads, block tasks inherit the stage's
-#: scope and tag their transfers correctly.  (The old thread-local stack
-#: made pool threads record under an *empty* scope; the trace
-#: reconciliation pass in :mod:`repro.trace.reconcile` catches exactly
-#: that class of misattribution.)  The stack is an immutable tuple: each
-#: ``scope()`` entry sets a new value and resets its token on exit, so
-#: copied contexts snapshot the stack instead of sharing a mutable list.
+#: :mod:`contextvars` variable, so sessions driven from different caller
+#: threads keep separate stacks, and any code run under a copied context
+#: inherits the scope it was copied in.  (A transfer recorded under the
+#: wrong scope is exactly what the trace reconciliation pass in
+#: :mod:`repro.trace.reconcile` catches.)  The stack is an immutable
+#: tuple: each ``scope()`` entry sets a new value and resets its token on
+#: exit, so copied contexts snapshot the stack instead of sharing a
+#: mutable list.
 _SCOPES: contextvars.ContextVar[dict[int, tuple[str, ...]]] = contextvars.ContextVar(
     "repro_ledger_scopes", default={}
 )
@@ -58,10 +57,8 @@ class CommunicationLedger:
 
     The record list is guarded by a lock; the scope stack is a *context
     variable* (the same pattern as ``StageMeter`` in
-    :mod:`repro.runtime.metering`), so concurrently executing stages --
-    each on its own scheduler thread -- tag their transfers independently,
-    and engine pool threads that run under a copy of the stage's context
-    inherit the stage's scope.
+    :mod:`repro.runtime.metering`), so runs driven from different caller
+    threads tag their transfers independently.
     """
 
     def __init__(self) -> None:

@@ -4,8 +4,8 @@ This replaces the old serial step loop of ``repro.core.executor`` (kept as
 a compatibility shim).  An execution now flows through the runtime's parts:
 
 1. the plan is folded into a :class:`~repro.runtime.graph.StageGraph`,
-2. the :class:`~repro.runtime.scheduler.StageScheduler` dispatches ready
-   nodes concurrently; each node runs its steps through the operator
+2. the :class:`~repro.runtime.scheduler.StageScheduler` runs the nodes in
+   topological order; each node runs its steps through the operator
    registry's kernels against a pluggable
    :class:`~repro.runtime.backend.Backend`,
 3. matrix lifetimes are reference counts held by a
@@ -15,7 +15,8 @@ a compatibility shim).  An execution now flows through the runtime's parts:
    folded into the simulated clock as *critical-path* time.
 
 Ledgered bytes are unchanged from the serial executor -- same kernels,
-same scopes -- only the simulated seconds now reflect stage overlap.
+same scopes -- only the simulated seconds now reflect the modelled
+overlap of independent stages.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ class ExecutionResult:
 
 
 class ExecutionState:
-    """Shared mutable state of one plan execution (thread-safe where two
-    concurrently running stages can touch it)."""
+    """Shared mutable state of one plan execution (locked, so it stays
+    consistent whichever thread drives the run)."""
 
     def __init__(
         self,
@@ -190,9 +191,9 @@ class PlanExecutor:
                 context.config, "max_concurrent_stages", None
             )
         if getattr(self.backend, "pool", None) is not None:
-            # Elastic runs dispatch serially: membership transitions fire
-            # between stage-graph nodes in one deterministic order.  The
-            # simulated schedule still reflects dependency-bound overlap.
+            # Elastic membership transitions fire between stage-graph
+            # nodes in one deterministic order, so elastic runs model no
+            # stage concurrency: their peak-memory bound is the serial one.
             max_concurrent_stages = 1
         self.max_concurrent_stages = max_concurrent_stages
 
@@ -318,7 +319,7 @@ class PlanExecutor:
         records_before = len(backend.ledger.records()) if tracer is not None else 0
         clock_window = backend.clock.begin_window() if tracer is not None else None
         wall_start = time.perf_counter()
-        scheduler = StageScheduler(self.max_concurrent_stages, **scheduler_kwargs)
+        scheduler = StageScheduler(**scheduler_kwargs)
         plan_span = (
             tracer.begin_span("plan", "plan", num_stages=plan.num_stages)
             if tracer is not None

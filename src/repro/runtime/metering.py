@@ -1,20 +1,16 @@
 """Per-stage metering: redirecting charges to the stage that caused them.
 
-The serial executor could attribute simulated time and flops to steps by
-snapshotting global counters around each step.  Under the concurrent stage
-scheduler two stages run at once, so global deltas would interleave.  A
-:class:`StageMeter` is a private accumulator one scheduler task installs
-(via a :mod:`contextvars` context variable) for the duration of its stage;
-the clock and the engines consult :func:`active_meter` and, when one is
-installed, charge *it* instead of (clock) or in addition to (engine
+A :class:`StageMeter` is a private accumulator the scheduler installs
+(via a :mod:`contextvars` context variable) for the duration of one stage
+attempt; the clock and the engines consult :func:`active_meter` and, when
+one is installed, charge *it* instead of (clock) or in addition to (engine
 counters) the global state.  The scheduler then owns exact per-stage
-durations and can commit only the critical path to the global clock.
+durations, and commits only the modelled critical path to the global
+clock rather than the sum of the stages it ran one after another.
 
-A context variable -- not a plain thread-local -- because a worker engine
-fans block tasks out to its own thread pool; the engine runs each pool
-task under a copy of the submitting task's context, so the meter (and the
-ledger's scope stack, which follows the same pattern) travels with it
-(see :meth:`repro.localexec.engine.LocalEngine._run`).
+A context variable -- not a global -- because sessions may be driven from
+different caller threads at once, and each thread's stage must charge its
+own meter.
 
 This module intentionally imports nothing from :mod:`repro`: it sits below
 the clock and the engines in the import graph.
@@ -51,8 +47,8 @@ def metered(meter: "StageMeter") -> Iterator["StageMeter"]:
 class StageMeter:
     """Accumulates the simulated time, bytes and flops of one stage run.
 
-    Thread-safe: a stage's block tasks may report from several engine pool
-    threads at once.  ``take_step_*`` methods drain the per-step counters
+    Internally locked, so it stays exact whichever thread reports to it.
+    ``take_step_*`` methods drain the per-step counters
     (the stage runner calls them after each plan step to build traces and
     charge per-step compute time).
     """

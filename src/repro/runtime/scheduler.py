@@ -1,22 +1,19 @@
-"""The stage scheduler: dispatch ready stages concurrently, charge the
-critical path.
+"""The stage scheduler: run stages in order, charge the critical path.
 
-Execution model.  Stage-graph nodes are submitted to a thread pool as soon
-as every dependency has finished (Kahn-style ready set).  Each node runs
-under its own :class:`~repro.runtime.metering.StageMeter`, so its simulated
-duration (network + compute + per-stage overhead) is measured privately
-even while other nodes run on sibling threads; ledgered *bytes* still flow
-to the global ledger and stay identical to a serial run.
+Execution model.  Stage-graph nodes run one at a time on the calling
+thread, in node-index order, which is topological.  Each node runs under
+its own :class:`~repro.runtime.metering.StageMeter`, so its simulated
+duration (network + compute + per-stage overhead) is measured privately;
+ledgered *bytes* flow to the global ledger.
 
-Simulated time.  Real stage overlap on the host is incidental -- what the
-paper's clock should report is the dependency-bound schedule: a node starts
+Simulated time.  Stage concurrency is modelled, not run: a node starts
 when its slowest dependency finishes, and the run ends when the last node
-does (max over concurrent chains, not the serial sum).  The event times are
-computed from the measured per-node durations and the dependency structure
-alone, assuming one stage per cluster dispatch slot, so the reported
-seconds are deterministic -- independent of host thread count, pool width
-or completion order.  The critical path (the chain realising the final
-finish time) is committed to the global clock, split by cause.
+does (max over concurrent chains, not the serial sum).  The event times
+are computed from the measured per-node durations and the dependency
+structure alone, assuming one stage per cluster dispatch slot, so the
+reported seconds are deterministic.  The critical path (the chain
+realising the final finish time) is committed to the global clock, split
+by cause.
 
 Failure and retry.  A node whose attempt raises a *retryable* error (duck
 typing: ``error.retryable`` is true -- set by the injected transient faults
@@ -24,11 +21,13 @@ of :mod:`repro.faults`) is re-run on the same thread after a capped
 exponential backoff, up to ``max_attempts`` total tries; the backoff and
 the failed attempts' metered cost are charged to the node's simulated
 duration.  Genuine (non-retryable) errors fail fast.  The first final
-failure stops new submissions; running nodes are drained, resources are
-left to the executor's cleanup, and the failure is re-raised wrapped in a
+failure stops the run; resources are left to the executor's cleanup, and
+the failure is re-raised wrapped in a
 :class:`~repro.errors.StageExecutionError` carrying the node id, stage,
 step kinds and attempt count (the original exception is chained as
-``__cause__``).
+``__cause__``).  Only :class:`Exception` is wrapped or retried: a
+``KeyboardInterrupt`` or ``SystemExit`` raised inside a stage propagates
+unchanged.
 
 Speculation.  With ``speculation_multiplier`` N > 0, a node whose slowed
 duration exceeds N x the median *clean* duration of its same-stage siblings is
@@ -41,11 +40,9 @@ slowdown, slowed == clean and speculation never changes anything.
 
 from __future__ import annotations
 
-import contextvars
 import dataclasses
 import statistics
 import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Callable
 
 from repro.errors import StageExecutionError
@@ -53,12 +50,6 @@ from repro.rdd.clock import TimeBreakdown
 from repro.runtime.graph import StageGraph, StageNode
 from repro.runtime.metering import StageMeter
 from repro.trace.emit import active_tracer
-
-#: Upper bound on concurrently dispatched stages when the config does not
-#: pin one.  Stage concurrency is about overlapping *simulated* stages, not
-#: saturating host cores (block tasks already use the engine pools), so a
-#: modest width is plenty.
-DEFAULT_MAX_CONCURRENT_STAGES = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,11 +94,10 @@ class SchedulerReport:
 
 
 class StageScheduler:
-    """Runs a :class:`StageGraph`'s nodes with bounded concurrency."""
+    """Runs a :class:`StageGraph`'s nodes serially, simulating their overlap."""
 
     def __init__(
         self,
-        max_concurrent: int | None = None,
         *,
         max_attempts: int = 1,
         backoff_base_sec: float = 1.0,
@@ -115,15 +105,12 @@ class StageScheduler:
         speculation_multiplier: float = 0.0,
         event_sink: Callable[[dict], None] | None = None,
     ) -> None:
-        if max_concurrent is not None and max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if speculation_multiplier < 0:
             raise ValueError(
                 f"speculation_multiplier must be >= 0, got {speculation_multiplier}"
             )
-        self.max_concurrent = max_concurrent or DEFAULT_MAX_CONCURRENT_STAGES
         self.max_attempts = max_attempts
         self.backoff_base_sec = backoff_base_sec
         self.backoff_cap_sec = backoff_cap_sec
@@ -137,8 +124,8 @@ class StageScheduler:
         run_node: Callable[[StageNode], StageMeter],
     ) -> SchedulerReport:
         """Execute every node (``run_node`` returns its meter); the first
-        final failure is wrapped in :class:`StageExecutionError` and raised
-        after in-flight nodes drain."""
+        final failure is wrapped in :class:`StageExecutionError` and
+        raised, and no later node runs."""
         runs = self._dispatch(graph, run_node)
         return self._simulate(graph, runs)
 
@@ -149,62 +136,13 @@ class StageScheduler:
         graph: StageGraph,
         run_node: Callable[[StageNode], StageMeter],
     ) -> list[NodeRun]:
-        nodes = graph.nodes
-        runs: list[NodeRun | None] = [None] * len(nodes)
-        if not nodes:
-            return []
-        if self.max_concurrent == 1:
-            # Serial dispatch in topological (node-index) order; the time
-            # simulation below is identical either way.
-            for node in nodes:
-                try:
-                    runs[node.index] = self._attempt(node, run_node)
-                except BaseException as error:
-                    raise self._wrap(error, graph) from error
-            return runs  # type: ignore[return-value]
-
-        waiting = {node.index: len(node.deps) for node in nodes}
-        ready = sorted(i for i, n in waiting.items() if n == 0)
-        for i in ready:
-            del waiting[i]
-        failure: BaseException | None = None
-
-        def submit_attempt(pool: ThreadPoolExecutor, node: StageNode):
-            # Each node runs under a fresh copy of the dispatching thread's
-            # context, so caller-installed contextvars scopes (e.g. the
-            # ledger's) reach stage threads; a fresh copy per node because
-            # one Context object cannot be entered concurrently.
-            context = contextvars.copy_context()
-            return pool.submit(context.run, self._attempt, node, run_node)
-
-        with ThreadPoolExecutor(
-            max_workers=self.max_concurrent, thread_name_prefix="repro-stage"
-        ) as pool:
-            running = {submit_attempt(pool, nodes[i]): i for i in ready}
-            while running:
-                done, __ = wait(running, return_when=FIRST_COMPLETED)
-                freed: list[int] = []
-                for future in done:
-                    index = running.pop(future)
-                    error = future.exception()
-                    if error is not None:
-                        if failure is None:
-                            failure = error
-                        continue
-                    runs[index] = future.result()
-                    for dependent in nodes[index].dependents:
-                        if dependent in waiting:
-                            waiting[dependent] -= 1
-                            if waiting[dependent] == 0:
-                                freed.append(dependent)
-                                del waiting[dependent]
-                if failure is None:
-                    for i in sorted(freed):
-                        running[submit_attempt(pool, nodes[i])] = i
-                # After a failure: submit nothing more, drain what runs.
-        if failure is not None:
-            raise self._wrap(failure, graph) from failure
-        return runs  # type: ignore[return-value]
+        runs: list[NodeRun] = []
+        for node in graph.nodes:  # indices are topological
+            try:
+                runs.append(self._attempt(node, run_node))
+            except Exception as error:
+                raise self._wrap(error, graph) from error
+        return runs
 
     def _attempt(
         self,
@@ -218,7 +156,7 @@ class StageScheduler:
         while True:
             try:
                 meter = run_node(node)
-            except BaseException as error:
+            except Exception as error:
                 failed = getattr(error, "stage_meter", None)
                 if failed is not None:
                     failed_meters.append(failed)
@@ -252,7 +190,7 @@ class StageScheduler:
                     backoff_seconds=backoff_total,
                 )
 
-    def _wrap(self, error: BaseException, graph: StageGraph) -> StageExecutionError:
+    def _wrap(self, error: Exception, graph: StageGraph) -> StageExecutionError:
         node = getattr(error, "_repro_node", None)
         attempts = getattr(error, "_repro_attempts", 1)
         index = node.index if node is not None else None

@@ -134,10 +134,10 @@ class JobRecord:
     block_cache: Optional[dict] = None
 
     # In-memory diagnostics -- NEVER serialised (non-deterministic).
-    # Wall seconds obviously; the *realised* peak too, because it depends
-    # on how concurrently-dispatched stage threads happened to overlap.
-    # Reports publish the verifier's predicted peak, which is sound,
-    # deterministic, and what admission actually decided on.
+    # Wall seconds obviously.  The *realised* peak is deterministic but
+    # stays out so report bytes stay stable; reports publish the
+    # verifier's predicted peak, which is sound and what admission
+    # actually decided on.
     peak_memory_bytes: int = 0
     plan_wall_seconds: float = 0.0
     run_wall_seconds: float = 0.0

@@ -28,11 +28,12 @@ uniform distribution of non-zeros over blocks (the paper's own modelling
 assumption): a BROADCAST replica charges its full size, a 1-D layout
 ``ceil(block_rows / K)`` block rows (resp. columns).
 
-Under concurrent scheduling up to ``C`` stage-graph nodes run at once, so
-the concurrent bound adds the ``C`` largest per-node transients -- a
-superset of any antichain the scheduler can actually dispatch -- on top of
-the full pin set.  With ``max_concurrent_stages=1`` the serial bound
-applies and is tight enough to validate against observed tracker peaks.
+On the modelled cluster up to ``C`` stage-graph nodes run at once, so the
+concurrent bound adds the ``C`` largest per-node transients -- a superset
+of any antichain the cluster could run together -- on top of the full pin
+set.  The host runs stages serially, so observed tracker peaks stay within
+the serial bound (``max_concurrent_stages=1``), which is tight enough to
+validate against them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.blocks.memory import (
     dense_block_model_bytes,
     matrix_model_bytes,
 )
+from repro.config import DEFAULT_MAX_CONCURRENT_STAGES
 from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     CellwiseStep,
@@ -244,7 +246,7 @@ def _transient_bytes(
         inner_blocks = max(1, math.ceil(inner / block_size))
         # Every partial is one dense result block held for one inner fold,
         # so all of them together weigh ``result * inner_blocks``; the
-        # In-Place engine keeps at most one in flight per pool thread.
+        # In-Place engine charges at most one in flight per modelled thread.
         all_partials = result * inner_blocks
         if inplace:
             in_flight = threads_per_worker * dense_block_model_bytes(
@@ -373,8 +375,6 @@ def predict_peak_memory(
         ),
         reverse=True,
     )
-    from repro.runtime.scheduler import DEFAULT_MAX_CONCURRENT_STAGES
-
     concurrency = max(
         1, min(max_concurrent_stages or DEFAULT_MAX_CONCURRENT_STAGES,
                max(1, len(graph.nodes))),

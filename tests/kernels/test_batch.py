@@ -4,8 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.kernels.batch import (
     BATCH_MAX_DIM,
@@ -15,7 +13,6 @@ from repro.kernels.batch import (
     plan_grid_product,
     stacked_matmul,
 )
-from repro.localexec.engine import _row_slabs
 
 
 @dataclass(frozen=True)
@@ -141,20 +138,3 @@ class TestStackedMatmul:
         with pytest.raises(ValueError, match="at least one"):
             stacked_matmul([], [])
 
-
-class TestRowSlabs:
-    @given(num_rows=st.integers(1, 64), threads=st.integers(1, 16))
-    @settings(max_examples=80, deadline=None)
-    def test_slabs_partition_the_row_range(self, num_rows, threads):
-        slabs = _row_slabs(num_rows, threads)
-        assert slabs[0][0] == 0 and slabs[-1][1] == num_rows
-        for (_, stop), (start, _) in zip(slabs, slabs[1:]):
-            assert stop == start
-        assert all(stop > start for start, stop in slabs)
-        assert len(slabs) <= min(threads, num_rows)
-
-    def test_even_split(self):
-        assert _row_slabs(8, 2) == [(0, 4), (4, 8)]
-
-    def test_more_threads_than_rows(self):
-        assert _row_slabs(2, 8) == [(0, 1), (1, 2)]

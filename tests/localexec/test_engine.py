@@ -44,6 +44,22 @@ class TestMatmulGrids:
             peaks[inplace] = engine.tracker.peak_bytes
         assert peaks[True] < peaks[False]
 
+    @pytest.mark.parametrize("m, n", [(40, 40), (5, 10)])
+    def test_inplace_peak_charges_one_partial_per_thread(self, rng, m, n):
+        """In-Place holds one transient partial per modelled thread, so the
+        peak is inputs + results + min(L, tasks) partials."""
+        __, __, ga, gb = make_grids(rng, m=m, k=40, n=n, block=5)
+        engine = LocalEngine(threads=4, inplace=True, batched_matmul=False)
+        engine.register_grid(ga)
+        engine.register_grid(gb)
+        gc = engine.matmul_grids(ga, gb)
+        inputs = sum(b.model_nbytes for g in (ga, gb) for b in g.values())
+        results = sum(b.model_nbytes for b in gc.values())
+        partial = gc[0, 0].model_nbytes
+        assert engine.tracker.peak_bytes == (
+            inputs + results + min(4, len(gc)) * partial
+        )
+
     def test_memory_limit_stops_buffer_mode(self, rng):
         """Reproduces the paper's 'Buffer cannot run Wikipedia' failure mode."""
         __, __, ga, gb = make_grids(rng, m=40, k=40, n=40, block=5)

@@ -91,6 +91,8 @@ class TestContext:
         with pytest.raises(ClusterError):
             ClusterConfig(threads_per_worker=0)
         with pytest.raises(ClusterError):
+            ClusterConfig(max_concurrent_stages=0)
+        with pytest.raises(ClusterError):
             ClusterConfig(block_size=0)
 
 

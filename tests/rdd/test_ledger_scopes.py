@@ -43,7 +43,8 @@ class TestPoolThreadScopes:
         ).bytes_by_scope()
 
     def test_scope_survives_an_explicit_context_copy(self):
-        """The exact mechanism the engine relies on, in miniature."""
+        """Code run under a copied context keeps the scope it was copied
+        in, on whatever thread runs it."""
         ledger = CommunicationLedger()
 
         def work():

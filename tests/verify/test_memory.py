@@ -39,14 +39,22 @@ def test_serial_bound_is_sound_and_within_2x(app):
 
 @pytest.mark.parametrize("app", APPS)
 def test_concurrent_bound_stays_sound(app):
+    program, inputs, __ = small_workload(app)
+    config = ClusterConfig(num_workers=4)
     # Under the default stage concurrency the bound covers *any* antichain
-    # the scheduler could dispatch, so it is sound but deliberately looser;
-    # only soundness is contractual here.
-    result = _run(app, max_concurrent_stages=None)
+    # the modelled cluster could run together, so it is sound but
+    # deliberately looser; only soundness is contractual for it.
+    result = DMacSession(config).run(program, inputs)
     observed = result.peak_memory_bytes
     predicted = result.predicted_peak_memory_bytes
     assert predicted is not None
     assert observed <= predicted
+    # Stage concurrency is modelled, not run: a fresh session realises
+    # the same peak, and it stays within the serial bound.
+    assert DMacSession(config).run(program, inputs).peak_memory_bytes == observed
+    plan = DMacSession(config).plan(program)
+    serial = predict_peak_memory(plan, num_workers=4, max_concurrent_stages=1)
+    assert observed <= serial.serial_peak_bytes
 
 
 def test_prediction_internals_are_ordered():
