@@ -55,8 +55,8 @@ def split(
     Args:
         array: the matrix to split.
         block_size: rows/columns per square block.
-        storage: ``"dense"``, ``"sparse"`` or ``"auto"`` (per-block choice by
-            density against ``sparse_threshold``).
+        storage: ``"dense"``, ``"sparse"`` or ``"auto"`` (per-block choice:
+            a block whose density is below ``sparse_threshold`` is CSC).
     """
     arr = np.asarray(array, dtype=np.float64)
     if arr.ndim != 2:
@@ -64,27 +64,60 @@ def split(
     if storage not in ("auto", "dense", "sparse"):
         raise BlockError(f"unknown storage policy {storage!r}")
     rows, cols = arr.shape
-    block_rows, block_cols = grid_shape(rows, cols, block_size)
+    block_rows, _ = grid_shape(rows, cols, block_size)
+    col_starts = np.arange(0, cols, block_size)
+    widths = np.minimum(col_starts + block_size, cols) - col_starts
     grid: BlockGrid = {}
     for bi in range(block_rows):
         r0, r1 = block_extent(bi, rows, block_size)
-        for bj in range(block_cols):
-            c0, c1 = block_extent(bj, cols, block_size)
-            piece = arr[r0:r1, c0:c1]
-            grid[(bi, bj)] = _wrap(piece, storage, sparse_threshold)
+        blocks = _split_band(arr[r0:r1], col_starts, widths, storage, sparse_threshold)
+        for bj, block in enumerate(blocks):
+            grid[(bi, bj)] = block
     return grid
 
 
-def _wrap(piece: np.ndarray, storage: str, sparse_threshold: float) -> Block:
-    if storage == "dense":
-        return DenseBlock(piece)
-    if storage == "sparse":
-        return CSCBlock.from_dense(piece)
-    size = piece.size
-    density = np.count_nonzero(piece) / size if size else 0.0
-    if density < sparse_threshold:
-        return CSCBlock.from_dense(piece)
-    return DenseBlock(piece)
+def _split_band(
+    band: np.ndarray,
+    col_starts: np.ndarray,
+    widths: np.ndarray,
+    storage: str,
+    sparse_threshold: float,
+) -> list[Block]:
+    """The blocks of one block-row band, in block-column order.
+
+    One per-column non-zero count over the band gives every block's
+    density.  Dense blocks are sliced and copied.  The coordinates of the
+    CSC blocks are gathered once, over their columns only, and sorted
+    column-major; each CSC block is a copied slice of them.
+    """
+    height = band.shape[0]
+    if storage == "auto":
+        nnz = np.add.reduceat(np.count_nonzero(band, axis=0), col_starts)
+        is_sparse = (nnz / (height * widths) < sparse_threshold).tolist()
+    else:
+        is_sparse = [storage == "sparse"] * len(widths)
+    if any(is_sparse):
+        columns = band if all(is_sparse) else band[:, np.repeat(is_sparse, widths)]
+        row, col = np.nonzero(columns)
+        order = np.argsort(col, kind="stable")  # column-major; rows stay ascending
+        row, col = row[order], col[order]
+        values = columns[row, col]
+        values += 0.0  # as from_coo's coalescing sum: a signalling NaN comes out quiet
+        counts = np.bincount(col, minlength=columns.shape[1])
+        colptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    blocks: list[Block] = []
+    c = 0  # first column of the next CSC block within ``columns``
+    for c0, width, csc in zip(col_starts.tolist(), widths.tolist(), is_sparse):
+        if not csc:
+            blocks.append(DenseBlock(band[:, c0:c0 + width]))
+            continue
+        lo, hi = int(colptr[c]), int(colptr[c + width])
+        blocks.append(CSCBlock(
+            (height, width), values[lo:hi].copy(), row[lo:hi].astype(np.int32),
+            colptr[c:c + width + 1] - lo,
+        ))
+        c += width
+    return blocks
 
 
 def assemble(

@@ -56,9 +56,7 @@ def matmul(a: Block, b: Block) -> DenseBlock:
     if isinstance(a, CSCBlock) and isinstance(b, DenseBlock):
         return _sparse_dense_matmul(a, b)
     if isinstance(a, DenseBlock) and isinstance(b, CSCBlock):
-        # (A @ B) == (B^T @ A^T)^T; reuse the sparse-times-dense kernel.
-        product = _sparse_dense_matmul(b.transpose(), a.transpose())
-        return product.transpose()
+        return _dense_sparse_matmul(a, b)
     assert isinstance(a, CSCBlock) and isinstance(b, CSCBlock)
     return _sparse_dense_matmul(a, b.to_dense_block())
 
@@ -71,6 +69,35 @@ def _sparse_dense_matmul(a: CSCBlock, b: DenseBlock) -> DenseBlock:
     if a.nnz:
         contributions = a.values[:, None] * b.data[a.column_indices(), :]
         np.add.at(out, a.row_idx, contributions)
+    return DenseBlock(out)
+
+
+def _dense_sparse_matmul(a: DenseBlock, b: CSCBlock) -> DenseBlock:
+    """``C[:, j] += v * A[:, r]`` for every stored ``B[r, j] = v``.
+
+    Walks ``b``'s columns one depth level at a time: level ``d`` takes the
+    ``d``-th stored entry of every column holding more than ``d`` entries
+    and adds all their products into ``C`` in one vectorised step.  As rows
+    are sorted within each column (the CSC invariant), every output column
+    sums its products in ascending ``r`` starting from ``+0.0``: the float
+    sequence of the ``(B^T @ A^T)^T`` formulation, so results match it byte
+    for byte, inf, -0.0 and NaN positions included.  (Where two NaNs with
+    different bits meet, numpy's loops decide which one survives, in either
+    formulation.)  That formulation never sees stored zeros (the transpose
+    drops them, and ``0 * inf`` would be NaN), so a block holding any is
+    canonicalised first.
+    """
+    data = a.data
+    out = np.zeros((data.shape[0], b.shape[1]), dtype=np.float64)
+    if not b.values.all():
+        b = CSCBlock.from_coo(*b.to_coo(), b.shape)
+    values, row_idx, colptr = b.values, b.row_idx, b.colptr
+    starts = colptr[:-1]
+    counts = colptr[1:] - starts
+    for depth in range(int(counts.max(initial=0))):
+        cols = (counts > depth).nonzero()[0]
+        pos = starts[cols] + depth
+        out[:, cols] += values[pos] * data[:, row_idx[pos]]
     return DenseBlock(out)
 
 

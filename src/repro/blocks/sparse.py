@@ -60,9 +60,10 @@ class CSCBlock:
             )
         if len(colptr) != cols + 1:
             raise BlockError(f"colptr must have length cols+1={cols + 1}, got {len(colptr)}")
-        if len(colptr) > 0 and (colptr[0] != 0 or colptr[-1] != len(values)):
+        # colptr always has cols + 1 >= 1 entries here.
+        if colptr[0] != 0 or colptr[-1] != len(values):
             raise BlockError("colptr must start at 0 and end at nnz")
-        if np.any(np.diff(colptr) < 0):
+        if np.count_nonzero(colptr[1:] < colptr[:-1]):
             raise BlockError("colptr must be non-decreasing")
         if len(row_idx) and (row_idx.min() < 0 or row_idx.max() >= rows):
             raise BlockError("row index out of range")
