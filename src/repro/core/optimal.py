@@ -133,7 +133,12 @@ def optimal_cost(program: MatrixProgram, num_workers: int) -> int:
             raise PlanError(f"no strategy for {op}")
         return best
 
-    return search(0, frozenset())
+    # ``search`` reaches itself through its closure, so its memo would
+    # otherwise wait for the cyclic garbage collector.
+    try:
+        return search(0, frozenset())
+    finally:
+        search.cache_clear()
 
 
 def _satisfaction_options(

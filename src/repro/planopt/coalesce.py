@@ -29,6 +29,7 @@ the per-block arithmetic or its order, so outputs stay byte-identical
 
 from __future__ import annotations
 
+import bisect
 import collections
 
 from repro.core.plan import (
@@ -67,32 +68,134 @@ MAX_ROUNDS = 8
 
 
 class _FlipSession:
-    """One candidate application: tracks flipped steps and emits chains."""
+    """One candidate application: tracks flipped steps and emits chains.
+
+    The session answers "who produces / reads this instance" from indexes
+    built once from the clone and updated at every place it mutates the
+    plan (:meth:`_append`, the ``_rebind_*`` methods, :meth:`_drop`), so
+    each query sees exactly the plan a full rescan would see at that
+    moment.  Steps carry a position rank (appends rank last; nothing else
+    reorders steps here), which orders producers, siblings and consumers
+    as a scan of ``plan.steps`` would.
+    """
 
     def __init__(self, plan: Plan) -> None:
         self.plan = plan
-        self._done: set[int] = set()  # id(step) already rewritten
+        # id(step) -> step, for steps already rewritten.  Holding the step
+        # keeps its id from being reused by a step emitted later (a dropped
+        # conversion would otherwise free it).
+        self._done: dict[int, Step] = {}
         self._demanding: set[MatrixInstance] = set()  # recursion guard
+        self._rank: dict[int, int] = {}  # id(step) -> position rank
+        # instance -> its producing steps, in step order
+        self._producing: dict[MatrixInstance, list[Step]] = {}
+        # (name, transposed) -> the produced instances of that matrix
+        self._produced: dict[tuple[str, bool], set[MatrixInstance]] = {}
+        # instance -> id(step) -> a step reading it
+        self._reading: dict[MatrixInstance, dict[int, Step]] = {}
+        for rank, step in enumerate(plan.steps):
+            self._rank[id(step)] = rank
+            self._index(step)
+        self._next_rank = len(plan.steps)
+
+    # -- index maintenance ----------------------------------------------------
+
+    def _rank_of(self, step: Step) -> int:
+        return self._rank[id(step)]
+
+    def _index(self, step: Step) -> None:
+        self._produce(step)
+        self._read(step)
+
+    def _produce(self, step: Step) -> None:
+        output = step.output_instance()
+        if output is None:
+            return
+        producers = self._producing.get(output)
+        if producers is None:
+            self._producing[output] = [step]
+            key = (output.name, output.transposed)
+            self._produced.setdefault(key, set()).add(output)
+        else:
+            bisect.insort(producers, step, key=self._rank_of)
+
+    def _unproduce(self, step: Step) -> None:
+        output = step.output_instance()
+        if output is None:
+            return
+        producers = self._producing[output]
+        del producers[next(i for i, other in enumerate(producers) if other is step)]
+        if not producers:
+            del self._producing[output]
+            self._produced[(output.name, output.transposed)].discard(output)
+
+    def _read(self, step: Step) -> None:
+        for instance in step.inputs():
+            self._reading.setdefault(instance, {})[id(step)] = step
+
+    def _unread(self, step: Step) -> None:
+        for instance in step.inputs():
+            readers = self._reading.get(instance)
+            if readers is not None and readers.pop(id(step), None) is not None:
+                if not readers:
+                    del self._reading[instance]
+
+    def _append(self, step: Step) -> None:
+        self.plan.steps.append(step)
+        self._rank[id(step)] = self._next_rank
+        self._next_rank += 1
+        self._index(step)
+
+    def _rebind_operands(self, step: Step, **operands: MatrixInstance) -> None:
+        self._unread(step)
+        for field, value in operands.items():
+            setattr(step, field, value)
+        self._read(step)
+
+    def _rebind_output(self, step: Step, output: MatrixInstance) -> None:
+        self._unproduce(step)
+        step.output = output
+        self._produce(step)
+
+    def _drop(self, step: ExtendedStep) -> None:
+        """Remove ``step`` the way ``list.remove`` would: the first step
+        *equal* to it goes, and equal steps produce the same instance."""
+        removed = next(other for other in self._producing[step.target] if other == step)
+        steps = self.plan.steps
+        del steps[next(i for i, other in enumerate(steps) if other is removed)]
+        self._unproduce(removed)
+        self._unread(removed)
+        del self._rank[id(removed)]
 
     # -- queries ------------------------------------------------------------
 
-    def _producers(self) -> dict[MatrixInstance, Step]:
-        return producer_map(self.plan)
+    def _producer(self, instance: MatrixInstance) -> Step | None:
+        """The last producer of ``instance`` in step order."""
+        producers = self._producing.get(instance)
+        return producers[-1] if producers else None
 
     def _siblings(self, instance: MatrixInstance) -> list[MatrixInstance]:
-        return [
-            produced
-            for produced in self._producers()
-            if produced.name == instance.name
-            and produced.transposed == instance.transposed
-        ]
+        """Produced instances of the same matrix, in order of first
+        production."""
+        produced = self._produced.get((instance.name, instance.transposed), ())
+        return sorted(
+            produced, key=lambda sibling: self._rank_of(self._producing[sibling][0])
+        )
+
+    def _consumers(self, instance: MatrixInstance) -> list[Step]:
+        """Steps not yet rewritten that read ``instance``, in step order."""
+        readers = self._reading.get(instance, {})
+        return sorted(
+            (step for key, step in readers.items() if key not in self._done),
+            key=self._rank_of,
+        )
 
     # -- demand: make sure an instance exists -------------------------------
 
     def demand(self, instance: MatrixInstance) -> None:
         """Ensure some step produces ``instance``, preferring free producer
         flips over explicit conversion chains."""
-        if instance in self._producers():
+        if instance in self._producing:
             return
         if instance in self._demanding:
             self._chain_to(instance)  # cycle: break it with a conversion
@@ -101,12 +204,12 @@ class _FlipSession:
         try:
             if instance.scheme.is_one_dimensional:
                 for sibling in self._siblings(instance):
-                    producer = self._producers().get(sibling)
+                    producer = self._producer(sibling)
                     if producer is not None and self._can_flip(
                         producer, instance.scheme
                     ):
                         self._flip(producer, instance.scheme)
-                        if instance in self._producers():
+                        if instance in self._producing:
                             return
             self._chain_to(instance)
         finally:
@@ -135,14 +238,9 @@ class _FlipSession:
             source, target.name, target.transposed, target.scheme
         )
         current = source
-        producers = self._producers()
         for kind, hop in chain:
-            if hop in producers:
-                current = hop
-                continue
-            step = ExtendedStep(kind=kind, source=current, target=hop)
-            self.plan.steps.append(step)
-            producers[hop] = step
+            if hop not in self._producing:
+                self._append(ExtendedStep(kind=kind, source=current, target=hop))
             current = hop
 
     # -- flips --------------------------------------------------------------
@@ -164,24 +262,29 @@ class _FlipSession:
         return False
 
     def _flip(self, step: Step, required: Scheme) -> None:
-        """Rewrite ``step`` to produce its output under ``required``."""
+        """Rewrite ``step`` to produce its output under ``required``.
+
+        Every field is rebound (and re-indexed) only after the demands it
+        depends on: nested demands must still see ``step`` reading its old
+        operands and producing its old output.
+        """
         if id(step) in self._done:
             return
-        self._done.add(id(step))
+        self._done[id(step)] = step
         old = step.output_instance()
         new = MatrixInstance(old.name, old.transposed, required)
         if isinstance(step, SourceStep):
-            step.output = new
+            self._rebind_output(step, new)
         elif isinstance(step, ELEMENTWISE):
             for field in ("left", "right", "source"):
                 value = getattr(step, field, None)
                 if isinstance(value, MatrixInstance):
                     want = MatrixInstance(value.name, value.transposed, required)
                     self.demand(want)
-                    setattr(step, field, want)
-            step.output = new
+                    self._rebind_operands(step, **{field: want})
+            self._rebind_output(step, new)
         elif isinstance(step, MatMulStep) and step.strategy == "cpmm":
-            step.output = new  # CPMM's shuffled output is Row-or-Column
+            self._rebind_output(step, new)  # CPMM's shuffled output is Row-or-Column
         elif isinstance(step, MatMulStep):
             # rmm1: A(b) @ B(c) -> C(c)  <->  rmm2: A(r) @ B(b) -> C(r).
             # Both fold per output block over the same per-block sequence,
@@ -200,10 +303,10 @@ class _FlipSession:
                 right = MatrixInstance(step.right.name, step.right.transposed, Scheme.COL)
             self.demand(left)
             self.demand(right)
-            step.left, step.right = left, right
-            step.output = new
+            self._rebind_operands(step, left=left, right=right)
+            self._rebind_output(step, new)
         elif isinstance(step, RowAggStep):
-            step.output = new  # "-opposed" shuffles partials; output flexible
+            self._rebind_output(step, new)  # "-opposed" shuffles partials; output flexible
         else:  # pragma: no cover - guarded by _can_flip
             raise PlanError(f"cannot flip {step}")
         self._replace_output(old, new)
@@ -213,17 +316,12 @@ class _FlipSession:
         for name, instance in self.plan.outputs.items():
             if instance == old:
                 self.plan.outputs[name] = new
-        consumers = [
-            step
-            for step in self.plan.steps
-            if id(step) not in self._done and old in step.inputs()
-        ]
-        for consumer in consumers:
+        for consumer in self._consumers(old):
             if isinstance(consumer, ExtendedStep) and consumer.source == old:
                 # Re-derive the conversion from the new layout; if the
                 # conversion's whole purpose was producing `new`, drop it.
-                self.plan.steps.remove(consumer)
-                self._done.add(id(consumer))
+                self._drop(consumer)
+                self._done[id(consumer)] = consumer
                 if consumer.target != new:
                     self.emit_chain(new, consumer.target)
             elif (
@@ -273,7 +371,7 @@ def _apply_candidate(
         description = f"flipped {step} to scheme {candidate[2]}"
         session._flip(step, candidate[2])
     elif kind == "flip-producer":
-        producer = producer_map(clone).get(step.source)
+        producer = session._producer(step.source)
         if producer is None or not session._can_flip(producer, step.target.scheme):
             raise PlanError("partition producer is not flippable")
         description = (
@@ -281,13 +379,13 @@ def _apply_candidate(
         )
         session._flip(producer, step.target.scheme)
     elif kind == "merge":
-        producer = producer_map(clone).get(step.source)
+        producer = session._producer(step.source)
         if not isinstance(producer, ExtendedStep):
             raise PlanError("conversion source is not itself a conversion")
         description = (
             f"coalesced {producer} ; {step} into a direct conversion"
         )
-        clone.steps.remove(step)
+        session._drop(step)
         session.emit_chain(producer.source, step.target)
     else:  # pragma: no cover
         raise PlanError(f"unknown candidate {kind}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import heapq
 
 from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
@@ -114,8 +115,6 @@ def toposort_steps(plan: Plan) -> None:
         for dep in deps:
             dependents[dep].append(index)
             indegree[index] += 1
-
-    import heapq
 
     ready = [i for i in range(len(plan.steps)) if indegree[i] == 0]
     heapq.heapify(ready)

@@ -1,7 +1,7 @@
 """The runtime executor: stage-graph execution of DMac plans.
 
-This replaces the old serial step loop of ``repro.core.executor`` (kept as
-a compatibility shim).  An execution now flows through the runtime's parts:
+This replaces the historical serial step loop of ``repro.core``.  An
+execution flows through the runtime's parts:
 
 1. the plan is folded into a :class:`~repro.runtime.graph.StageGraph`,
 2. the :class:`~repro.runtime.scheduler.StageScheduler` runs the nodes in

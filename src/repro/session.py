@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.baselines.systemml import SystemMLSExecutor
 from repro.config import ClusterConfig
-from repro.core.executor import ExecutionResult, PlanExecutor
 from repro.core.plan import Plan
 from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
@@ -35,6 +34,7 @@ from repro.errors import ExecutionError, LintError, PlanError, VerificationError
 from repro.frontend.staged import StagedProgram
 from repro.lang.program import MatrixProgram
 from repro.rdd.context import ClusterContext
+from repro.runtime.executor import ExecutionResult, PlanExecutor
 
 #: Session lint modes: "off" skips analysis, "warn" prints findings to
 #: stderr, "error" additionally refuses to execute plans with error-severity

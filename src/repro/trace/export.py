@@ -152,7 +152,8 @@ def format_summary(collector: TraceCollector) -> str:
     metrics = collector.metrics().to_json_dict()
     lines.append("metrics")
     for name, value in metrics["counters"].items():
-        lines.append(f"  {name:<40} {value}")
+        shown = f"{value:.6f}" if isinstance(value, float) else value
+        lines.append(f"  {name:<40} {shown}")
     for name, value in metrics["gauges"].items():
         lines.append(f"  {name:<40} {value:.4f}")
     for name, hist in metrics["histograms"].items():

@@ -1,5 +1,8 @@
 """Tests for the exhaustive planner and the greedy-vs-optimal comparison."""
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -78,6 +81,31 @@ class TestOptimalCost:
         # it should not exceed: broadcast A once (N|A|) -- every A event free
         nbytes_a = 8 * 10 * 10
         assert optimal <= workers * nbytes_a
+
+    def test_search_state_is_freed_when_the_call_returns(self):
+        """The memo holds thousands of search states; none may outlive the
+        call, even with the cyclic garbage collector off."""
+        pb = ProgramBuilder()
+        v = pb.load("V", (64, 48), sparsity=0.1)
+        w = pb.random("W", (64, 4))
+        h = pb.random("H", (4, 48))
+        pb.output(pb.assign("H", h * (w.T @ v) / (w.T @ w @ h)))
+        program = pb.build()
+        gc.collect()
+        gc.disable()
+        try:
+            # Warm up with the collector off, so the interpreter's object
+            # free lists are already full when the measurement starts.
+            optimal_cost(program, 4)
+            tracemalloc.start()
+            before = tracemalloc.get_traced_memory()[0]
+            optimal_cost(program, 4)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert peak - before > 100_000  # the search really built a memo
+        assert after - before < 65_536  # 14 MB when the memo survived
 
 
 class TestGreedyVsOptimal:

@@ -1,6 +1,7 @@
 """The terminal timeline and the raw JSON document."""
 
 import json
+import re
 
 from repro import ClusterConfig, DMacSession
 from repro.trace import TraceCollector, format_summary, to_json_dict
@@ -37,6 +38,27 @@ class TestSummary:
             if s.attrs.get("on_critical_path")
         ]
         assert len(starred) == len(critical) > 0
+
+    def test_numbers_carry_at_most_six_decimals(self):
+        tracer, __ = _traced_pagerank()
+        lines = format_summary(tracer).splitlines()
+        floats = [
+            line for line in lines if line.split()[-1:] and "." in line.split()[-1]
+        ]
+        assert any("stage.sim_seconds.stage-" in line for line in floats)
+        for line in lines:
+            if " n=" in line:
+                continue  # histograms print six significant digits (.6g)
+            for decimals in re.findall(r"\d\.(\d+)", line):
+                assert len(decimals) <= 6, line
+
+    def test_integer_counters_print_as_integers(self):
+        tracer, __ = _traced_pagerank()
+        counters = tracer.metrics().to_json_dict()["counters"]
+        summary = format_summary(tracer).splitlines()
+        for name, value in counters.items():
+            if isinstance(value, int):
+                assert f"  {name:<40} {value}" in summary
 
 
 class TestJsonDocument:
