@@ -481,6 +481,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from repro.errors import TranslationValidationError
     from repro.verify import verify_plan
+    from repro.verify.memory import config_bounds
 
     try:
         program = _resolve_plan_target(args, args.target)
@@ -506,15 +507,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except TranslationValidationError as exc:
         print(f"translation validation failed: {exc}", file=sys.stderr)
         return EXIT_LINT_ERRORS
+    bounds = config_bounds(session.config, estimation_mode=session.estimation_mode)
     reports = [
-        (label, verify_plan(
-            plan,
-            num_workers=session.config.num_workers,
-            threads_per_worker=args.threads,
-            block_size=args.block_size,
-            target=label,
-        ))
-        for label, plan in plans
+        (label, verify_plan(plan, target=label, **bounds)) for label, plan in plans
     ]
     execution = None
     if args.execute:

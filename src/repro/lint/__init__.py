@@ -1,8 +1,9 @@
 """repro.lint -- static analysis of matrix programs and DMac plans.
 
-The analyzer sits between the planner and the executor: it abstract-
-interprets a plan DAG (shapes, worst-case sizes, partition schemes,
-stages) and applies a registry of rules that either *prove an invariant
+The analyzer sits between the planner and the executor: it reads the
+plan facts :mod:`repro.verify` derives (shapes, the stage graph's
+dataflow index, ordering hazards), adds worst-case sizes and partition
+schemes, and applies a registry of rules that either *prove an invariant
 was violated* (DM1xx, error severity) or *prove bytes are being wasted*
 (DM2xx, warning severity) -- all without executing anything.
 
@@ -21,7 +22,6 @@ from repro.lint.diagnostics import (
     LintReport,
     Severity,
 )
-from repro.lint.facts import PlanFacts, build_facts
 from repro.lint.rules import RULES, LintInput, Rule
 from repro.lint.runner import (
     capture_plans,
@@ -39,8 +39,6 @@ __all__ = [
     "LintContext",
     "LintReport",
     "Severity",
-    "PlanFacts",
-    "build_facts",
     "RULES",
     "LintInput",
     "Rule",

@@ -12,14 +12,20 @@ Three families, mirroring the paper's correctness and cost claims:
   plan would not move.
 * ``DM3xx`` -- **ordering hazards** (error severity).  The plan's
   publish/consume event schedule is not covered by the stage graph's
-  happens-before relation (:mod:`repro.verify.hazards`): a pool thread
-  may read an instance before its publish is visible, or two publishes
-  race for one logical matrix.
+  happens-before relation (:mod:`repro.verify.hazards`): a read may be
+  scheduled before the publish it needs, or two publishes race for one
+  logical matrix.
 * ``DM4xx`` -- **fusion lints** (warning severity).  An optimized plan
   still contains a cellwise chain the elementwise-fusion pass
   (:mod:`repro.planopt.fuse`) could not merge -- typically because an
   intermediate is needlessly published as a plan output or cache-pinned
   -- so the engine materialises block grids a fused kernel would skip.
+
+Rules never re-derive plan facts.  Shapes come from verify's fixpoint
+analysis (:class:`~repro.verify.analysis.PlanAnalysis`); producers,
+consumers and available stages from its stage graph's
+:class:`~repro.runtime.graph.Dataflow` index; DM3xx findings from its
+shared hazard list.
 
 Every rule is registered in :data:`RULES` with its id, severity, family,
 one-line title, the paper section it enforces, and a generic fix hint; the
@@ -31,11 +37,13 @@ and exercised.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
 from repro.blocks.memory import max_block_size
 from repro.core.dependency import classify, is_communication
+from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     CellwiseStep,
     ExtendedStep,
@@ -54,6 +62,7 @@ from repro.core.strategies import (
     SOURCE_STRATEGY,
     Strategy,
 )
+from repro.errors import PlanError
 from repro.lang.program import (
     CellwiseOp,
     MatMulOp,
@@ -62,8 +71,8 @@ from repro.lang.program import (
     op_input_names,
 )
 from repro.lint.diagnostics import Diagnostic, LintContext, Severity
-from repro.lint.facts import PlanFacts, step_output
 from repro.matrix.schemes import Scheme
+from repro.verify.analysis import PlanAnalysis, declared_shape
 
 _EXTENDED_KINDS = ("partition", "broadcast", "transpose", "extract")
 
@@ -75,13 +84,26 @@ _ROWAGG_BY_NAME: dict[str, Strategy] = {
 
 @dataclasses.dataclass(frozen=True)
 class LintInput:
-    """Everything a rule may inspect.  ``plan``/``facts`` are ``None`` when
-    only the program AST is being analysed."""
+    """Everything a rule may inspect.  ``plan``/``analysis`` are ``None``
+    when only the program AST is being analysed."""
 
     program: MatrixProgram
     context: LintContext
     plan: Plan | None = None
-    facts: PlanFacts | None = None
+    analysis: PlanAnalysis | None = None
+
+    @functools.cached_property
+    def _estimator(self) -> SizeEstimator:
+        return SizeEstimator(self.program, self.context.estimation_mode)
+
+    def nbytes(self, name: str) -> int:
+        """Estimated worst-case ``|A|`` (Section 5.1); 0 for names the
+        program does not know (DM101 reports those -- size rules stay
+        quiet)."""
+        try:
+            return self._estimator.nbytes(name)
+        except PlanError:
+            return 0
 
 
 RuleCheck = Callable[[LintInput], Iterable[Diagnostic]]
@@ -164,13 +186,13 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
     program = inputs.program
     for op in program.ops:
         yield from _check_op_shapes(this, program, op)
-    facts = inputs.facts
-    if facts is None:
+    analysis = inputs.analysis
+    if analysis is None:
         return
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(analysis.plan.steps):
         if isinstance(step, MatMulStep):
-            left = facts.shapes.get(step.left)
-            right = facts.shapes.get(step.right)
+            left = analysis.shape_of(step.left)
+            right = analysis.shape_of(step.right)
             if left and right and left[1] != right[0]:
                 yield this.diagnostic(
                     f"matmul inner dimensions differ: {left[0]}x{left[1]} @ "
@@ -179,8 +201,8 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
                     subject=step.output,
                 )
         elif isinstance(step, CellwiseStep):
-            left = facts.shapes.get(step.left)
-            right = facts.shapes.get(step.right)
+            left = analysis.shape_of(step.left)
+            right = analysis.shape_of(step.right)
             if left and right and left != right:
                 yield this.diagnostic(
                     f"cell-wise {step.op.op} over unequal shapes "
@@ -192,7 +214,7 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
             known = {
                 instance: shape
                 for instance in step.inputs()
-                if (shape := facts.shapes.get(instance)) is not None
+                if (shape := analysis.shape_of(instance)) is not None
             }
             if len(set(known.values())) > 1:
                 yield this.diagnostic(
@@ -204,11 +226,11 @@ def check_shapes(inputs: LintInput) -> Iterator[Diagnostic]:
                     step=index,
                     subject=step.output,
                 )
-        output = step_output(step)
+        output = step.output_instance()
         if output is None:
             continue
-        interpreted = facts.shapes.get(output)
-        declared = facts.declared_shape(output)
+        interpreted = analysis.shape_of(output)
+        declared = declared_shape(analysis.plan, output)
         if declared is None:
             yield this.diagnostic(
                 f"instance {output} has no declared dimensions in the program",
@@ -266,9 +288,9 @@ def _check_op_shapes(
 def check_schemes(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every step's instances must satisfy its operator's scheme contract."""
     this = _rule("DM102")
-    if inputs.facts is None:
+    if inputs.plan is None:
         return
-    for index, step in enumerate(inputs.facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if isinstance(step, ExtendedStep):
             yield from _check_extended_schemes(this, index, step)
         elif isinstance(step, SourceStep):
@@ -437,16 +459,14 @@ def check_stage_purity(inputs: LintInput) -> Iterator[Diagnostic]:
     """No step may consume data that only becomes available -- through a
     communicating edge -- in the same or a later stage.  The check is the
     runtime's own: :meth:`repro.runtime.graph.StageGraph.stage_violations`
-    reports exactly the wide edges the concurrent scheduler cannot honour."""
-    from repro.runtime.graph import StageGraph
-
+    reports exactly the wide edges that break the stage graph's promise
+    of communication-free stages."""
     this = _rule("DM103")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.analysis is None:
         return
-    graph = StageGraph.from_plan(facts.plan)
+    graph = inputs.analysis.graph
     for index, instance, available in graph.stage_violations():
-        step = facts.plan.steps[index]
+        step = graph.plan.steps[index]
         yield this.diagnostic(
             f"step runs in stage {step.stage} but input {instance} "
             f"is only available from stage {available}: a "
@@ -469,22 +489,22 @@ def check_ledger_agreement(inputs: LintInput) -> Iterator[Diagnostic]:
     """The plan's predicted bytes must decompose exactly over its
     communicating steps under the declared dependency classes."""
     this = _rule("DM104")
-    facts = inputs.facts
-    if facts is None:
+    plan = inputs.plan
+    if plan is None:
         return
     workers = inputs.context.num_workers
     total = 0
-    for step in facts.plan.steps:
+    for step in plan.steps:
         if isinstance(step, ExtendedStep) and step.communicates:
-            nbytes = facts.nbytes(step.source.name)
+            nbytes = inputs.nbytes(step.source.name)
             total += (workers - 1) * nbytes if step.kind == "broadcast" else nbytes
         elif isinstance(step, (MatMulStep, RowAggStep)) and step.communicates:
-            total += (workers - 1) * facts.nbytes(step.output.name)
-    if total != facts.plan.predicted_bytes:
+            total += (workers - 1) * inputs.nbytes(step.output.name)
+    if total != plan.predicted_bytes:
         yield this.diagnostic(
-            f"plan declares {facts.plan.predicted_bytes} predicted bytes but "
+            f"plan declares {plan.predicted_bytes} predicted bytes but "
             f"its communicating steps account for {total} "
-            f"(delta {facts.plan.predicted_bytes - total:+d}) at "
+            f"(delta {plan.predicted_bytes - total:+d}) at "
             f"{workers} workers",
         )
 
@@ -531,14 +551,13 @@ def check_block_size(inputs: LintInput) -> Iterator[Diagnostic]:
 def check_broadcast_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every replica must fit the declared per-worker memory budget."""
     this = _rule("DM106")
-    facts = inputs.facts
     budget = inputs.context.memory_limit_bytes
-    if facts is None or budget is None:
+    if inputs.analysis is None or budget is None:
         return
-    for instance, index in facts.producer.items():
+    for instance, (index, *__) in inputs.analysis.graph.dataflow.publishers.items():
         if instance.scheme is not Scheme.BROADCAST:
             continue
-        nbytes = facts.nbytes(instance.name)
+        nbytes = inputs.nbytes(instance.name)
         if nbytes > budget:
             yield this.diagnostic(
                 f"replica {instance} weighs ~{nbytes} bytes on every worker, "
@@ -560,17 +579,17 @@ def check_broadcast_budget(inputs: LintInput) -> Iterator[Diagnostic]:
 def check_dataflow(inputs: LintInput) -> Iterator[Diagnostic]:
     """Instances must be produced before use; program outputs must exist."""
     this = _rule("DM107")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.analysis is None:
         return
-    for index, instance in facts.unproduced:
+    graph = inputs.analysis.graph
+    for index, instance in graph.dataflow.unproduced:
         yield this.diagnostic(
             f"step consumes {instance} before any step produces it",
             step=index,
             subject=instance,
         )
-    for name, instance in facts.plan.outputs.items():
-        if instance not in facts.producer:
+    for name, instance in graph.plan.outputs.items():
+        if instance not in graph.dataflow.publishers:
             yield this.diagnostic(
                 f"program output {name!r} maps to {instance}, which no step "
                 f"produces",
@@ -595,10 +614,9 @@ def check_redundant_repartition(inputs: LintInput) -> Iterator[Diagnostic]:
     """A repartition whose source already has the target layout moves every
     byte of the matrix for nothing."""
     this = _rule("DM201")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, ExtendedStep) or step.kind != "partition":
             continue
         transposed_access = step.source.transposed != step.target.transposed
@@ -608,7 +626,7 @@ def check_redundant_repartition(inputs: LintInput) -> Iterator[Diagnostic]:
             yield this.diagnostic(
                 f"repartition of {step.source} to its current scheme "
                 f"{step.target.scheme} shuffles "
-                f"~{facts.nbytes(step.source.name)} bytes for nothing",
+                f"~{inputs.nbytes(step.source.name)} bytes for nothing",
                 step=index,
                 subject=step.target,
             )
@@ -626,23 +644,23 @@ def check_dead_operators(inputs: LintInput) -> Iterator[Diagnostic]:
     """Work whose result nothing consumes is wasted compute (and possibly
     wasted communication)."""
     this = _rule("DM202")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.analysis is None:
         yield from _check_dead_program_ops(this, inputs.program)
         return
+    flow = inputs.analysis.graph.dataflow
     live_names = set(inputs.program.outputs)
-    for instance, index in facts.producer.items():
+    for instance, (index, *__) in flow.publishers.items():
         if instance.name in live_names:
             continue
-        if not facts.consumers.get(instance):
+        if instance not in flow.consumers:
             yield this.diagnostic(
                 f"instance {instance} is produced but never consumed",
                 step=index,
                 subject=instance,
             )
     live_scalars = set(inputs.program.scalar_outputs)
-    for name, index in facts.scalar_producer.items():
-        if name not in live_scalars and not facts.scalar_consumers.get(name):
+    for name, (index, *__) in flow.scalar_publishers.items():
+        if name not in live_scalars and name not in flow.scalar_consumers:
             yield this.diagnostic(
                 f"scalar {name!r} is computed but never consumed",
                 step=index,
@@ -678,14 +696,14 @@ def check_transpose_of_transpose(inputs: LintInput) -> Iterator[Diagnostic]:
     """Two chained local transposes cancel; the second recreates the first
     step's input layout."""
     this = _rule("DM203")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.analysis is None:
         return
-    steps = facts.plan.steps
+    graph = inputs.analysis.graph
+    steps = graph.plan.steps
     for index, step in enumerate(steps):
         if not isinstance(step, ExtendedStep) or step.kind != "transpose":
             continue
-        producer_index = facts.producer.get(step.source)
+        producer_index = graph.dataflow.producer(step.source)
         if producer_index is None:
             continue
         producer = steps[producer_index]
@@ -717,16 +735,15 @@ def check_cpmm_vs_rmm(inputs: LintInput) -> Iterator[Diagnostic]:
     laid out; when even the *worst-case* RMM total (broadcast one operand,
     repartition the other) beats that floor, CPMM can never win."""
     this = _rule("DM204")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
     workers = inputs.context.num_workers
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, MatMulStep) or step.strategy != "cpmm":
             continue
-        left = facts.nbytes(step.left.name)
-        right = facts.nbytes(step.right.name)
-        out = facts.nbytes(step.output.name)
+        left = inputs.nbytes(step.left.name)
+        right = inputs.nbytes(step.right.name)
+        out = inputs.nbytes(step.output.name)
         cpmm_floor = workers * out
         rmm_ceiling = min(workers * left + right, workers * right + left)
         if rmm_ceiling < cpmm_floor:
@@ -752,11 +769,10 @@ def check_rebroadcast(inputs: LintInput) -> Iterator[Diagnostic]:
     """Matrix versions are immutable (SSA): broadcasting the same version
     twice pays ``(K-1) x |A|`` again for bytes every worker already holds."""
     this = _rule("DM205")
-    facts = inputs.facts
-    if facts is None:
+    if inputs.plan is None:
         return
     seen: Counter = Counter()
-    for index, step in enumerate(facts.plan.steps):
+    for index, step in enumerate(inputs.plan.steps):
         if not isinstance(step, ExtendedStep) or step.kind != "broadcast":
             continue
         key = (step.source.name, step.source.transposed)
@@ -789,22 +805,20 @@ def check_cache_pin_budget(inputs: LintInput) -> Iterator[Diagnostic]:
     (:func:`repro.verify.memory.predict_peak_memory`), not the pin shares
     alone."""
     this = _rule("DM206")
-    facts = inputs.facts
+    analysis = inputs.analysis
     budget = inputs.context.memory_limit_bytes
-    if facts is None or budget is None:
-        return
-    pins = getattr(facts.plan, "cache_pins", ())
-    if not pins:
+    if analysis is None or budget is None or not analysis.plan.cache_pins:
         return
     from repro.verify.memory import predict_peak_memory
 
     prediction = predict_peak_memory(
-        facts.plan,
+        analysis.plan,
         num_workers=inputs.context.num_workers,
         threads_per_worker=inputs.context.threads_per_worker,
         block_size=inputs.context.block_size,
         max_concurrent_stages=1,
         estimation_mode=inputs.context.estimation_mode,
+        analysis=analysis,
     )
     if prediction.serial_peak_bytes > budget:
         yield this.diagnostic(
@@ -835,16 +849,14 @@ def check_read_before_publish(inputs: LintInput) -> Iterator[Diagnostic]:
     """Every block-instance (and driver-scalar) read must be ordered after
     some publish of it by the stage graph's happens-before relation --
     serial order within a node, transitive ``deps`` edges across nodes.  A
-    consumer no producer reaches may observe missing state when nodes run
-    concurrently on pool threads."""
+    consumer no producer reaches may run before the publish it needs,
+    since the stage graph lets unordered nodes run in either order."""
     this = _rule("DM301")
-    if inputs.facts is None:
+    if inputs.analysis is None:
         return
-    from repro.runtime.graph import StageGraph
-    from repro.verify.hazards import READ_BEFORE_PUBLISH, find_hazards
+    from repro.verify.hazards import READ_BEFORE_PUBLISH
 
-    graph = StageGraph.from_plan(inputs.facts.plan)
-    for hazard in find_hazards(graph):
+    for hazard in inputs.analysis.hazards:
         if hazard.kind == READ_BEFORE_PUBLISH:
             yield this.diagnostic(
                 f"{hazard.subject} is {hazard.detail}",
@@ -868,13 +880,11 @@ def check_double_publish(inputs: LintInput) -> Iterator[Diagnostic]:
     (a duplicated broadcast, a transpose round-trip) are redundancy, not a
     race, and stay with the DM2xx inefficiency rules."""
     this = _rule("DM302")
-    if inputs.facts is None:
+    if inputs.analysis is None:
         return
-    from repro.runtime.graph import StageGraph
-    from repro.verify.hazards import DOUBLE_PUBLISH, find_hazards
+    from repro.verify.hazards import DOUBLE_PUBLISH
 
-    graph = StageGraph.from_plan(inputs.facts.plan)
-    for hazard in find_hazards(graph):
+    for hazard in inputs.analysis.hazards:
         if hazard.kind == DOUBLE_PUBLISH:
             yield this.diagnostic(
                 f"{hazard.subject} is {hazard.detail}",
@@ -906,13 +916,13 @@ def check_unfused_chains(inputs: LintInput) -> Iterator[Diagnostic]:
     pinned -- so each hit names the blocker that kept a full intermediate
     block grid alive."""
     this = _rule("DM401")
-    facts = inputs.facts
-    if facts is None or not getattr(facts.plan, "certificates", ()):
+    plan = inputs.plan
+    if plan is None or not plan.certificates:
         return  # unoptimized plans have not had a chance to fuse yet
     from repro.planopt.fuse import unfused_chain_heads
 
-    index_of = {id(step): index for index, step in enumerate(facts.plan.steps)}
-    for producer, consumer, blocker in unfused_chain_heads(facts.plan):
+    index_of = {id(step): index for index, step in enumerate(plan.steps)}
+    for producer, consumer, blocker in unfused_chain_heads(plan):
         if blocker == "output":
             why = "its intermediate is published as a plan output"
         elif blocker == "pin":
@@ -921,7 +931,7 @@ def check_unfused_chains(inputs: LintInput) -> Iterator[Diagnostic]:
             why = "nothing blocks it, yet the fusion pass left it unfused"
         yield this.diagnostic(
             f"cellwise step {producer.output} feeds only the cellwise step "
-            f"producing {step_output(consumer)} but was not fused: {why}",
+            f"producing {consumer.output_instance()} but was not fused: {why}",
             step=index_of.get(id(producer)),
             subject=producer.output,
         )

@@ -1,8 +1,9 @@
 """Entry points: lint a program, a plan, a ``.dml`` script, or a ``.py``
 program builder -- without executing anything.
 
-``lint_plan`` is the workhorse: it abstract-interprets the plan DAG into
-:class:`~repro.lint.facts.PlanFacts` and applies every registered rule.
+``lint_plan`` is the workhorse: it applies every registered rule to the
+plan's :class:`~repro.verify.analysis.PlanAnalysis` -- verify's fixpoint
+facts, stage graph and hazard list.
 ``lint_program`` runs the (smaller) set of program-level checks when no
 plan exists yet.  ``lint_path`` dispatches on file type for the CLI, using
 :func:`capture_plans` to observe the plans a ``.py`` builder script
@@ -23,8 +24,8 @@ from repro.core.planner import DMacPlanner
 from repro.core.stages import schedule_stages
 from repro.lang.program import MatrixProgram
 from repro.lint.diagnostics import Diagnostic, LintContext, LintReport, Severity
-from repro.lint.facts import build_facts
 from repro.lint.rules import RULES, LintInput
+from repro.verify.analysis import PlanAnalysis, analyse_plan
 
 
 def _apply_rules(inputs: LintInput, suppress: tuple[str, ...]) -> LintReport:
@@ -53,19 +54,23 @@ def lint_plan(
     plan: Plan,
     context: LintContext | None = None,
     suppress: tuple[str, ...] = (),
+    analysis: PlanAnalysis | None = None,
 ) -> LintReport:
     """Run every rule over a generated plan (and its program).
 
     An unscheduled plan (``num_stages == 0``) is stage-scheduled first so
     the Section-5.2 purity rule has stages to check; already-scheduled
-    plans are analysed exactly as given.
+    plans are analysed exactly as given.  A caller that also verifies the
+    plan passes its ``analysis`` so both share one stage graph and one
+    hazard list.
     """
     if plan.num_stages == 0:
         plan = schedule_stages(plan)
-    context = context or LintContext()
-    facts = build_facts(plan, context.estimation_mode)
     inputs = LintInput(
-        program=plan.program, context=context, plan=plan, facts=facts
+        program=plan.program,
+        context=context or LintContext(),
+        plan=plan,
+        analysis=analysis or analyse_plan(plan),
     )
     return _apply_rules(inputs, suppress)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
+from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     ExtendedStep,
     MatMulStep,
@@ -34,6 +35,7 @@ from repro.lint.diagnostics import LintContext, LintReport
 from repro.lint.rules import RULES
 from repro.lint.runner import lint_plan, plan_for
 from repro.matrix.schemes import Scheme
+from repro.runtime.graph import Dataflow, StageGraph
 
 
 @dataclasses.dataclass
@@ -79,10 +81,12 @@ def _find_step(plan: Plan, predicate) -> int:
     raise AssertionError("selftest reference plan lacks the expected step")
 
 
-def _producer_map(plan: Plan) -> dict[MatrixInstance, int]:
-    from repro.lint.facts import build_facts
+def _dataflow(plan: Plan) -> Dataflow:
+    return StageGraph.from_plan(plan).dataflow
 
-    return build_facts(plan).producer
+
+def _nbytes(plan: Plan, name: str) -> int:
+    return SizeEstimator(plan.program).nbytes(name)
 
 
 # ---------------------------------------------------------------------------
@@ -125,16 +129,11 @@ def _corrupt_scheme(plan: Plan, context: LintContext):
 def _corrupt_stage(plan: Plan, context: LintContext):
     """Pull a consumer of a communicated instance down into the stage that
     sends it: a wide edge inside a stage."""
-    from repro.lint.facts import build_facts
-
-    facts = build_facts(plan)
-    for index, step in enumerate(plan.steps):
+    flow = _dataflow(plan)
+    for step in plan.steps:
         if not step.communicates:
             continue
-        from repro.lint.facts import step_output
-
-        target = step_output(step)
-        for consumer in facts.consumers.get(target, ()):
+        for consumer in flow.consumers.get(step.output_instance(), ()):
             if plan.steps[consumer].stage > step.stage:
                 plan.steps[consumer].stage = step.stage
                 return plan, context
@@ -155,7 +154,8 @@ def _corrupt_block_size(plan: Plan, context: LintContext):
 def _corrupt_memory_budget(plan: Plan, context: LintContext):
     """Declare a per-worker budget every replica in the plan exceeds."""
     if not any(
-        instance.scheme is Scheme.BROADCAST for instance in _producer_map(plan)
+        instance.scheme is Scheme.BROADCAST
+        for instance in _dataflow(plan).publishers
     ):
         raise AssertionError("plan holds no replicas to starve")
     return plan, dataclasses.replace(context, memory_limit_bytes=1)
@@ -165,7 +165,7 @@ def _corrupt_output(plan: Plan, context: LintContext):
     """Retarget a program output at an instance no step ever produces."""
     name = plan.program.outputs[0]
     ghost = MatrixInstance(name, False, Scheme.BROADCAST)
-    assert ghost not in _producer_map(plan)
+    assert ghost not in _dataflow(plan).publishers
     plan.outputs[name] = ghost
     return plan, context
 
@@ -175,28 +175,26 @@ def _corrupt_redundant_partition(plan: Plan, context: LintContext):
     for it in the ledger, so only the waste is reportable).  The victim
     must already have a consumer: repartitioning a *dead* instance would
     give it one and thereby silence a legitimate DM202 baseline finding."""
-    from repro.lint.facts import build_facts, step_output
-
-    facts = build_facts(plan)
+    flow = _dataflow(plan)
     index = _find_step(
         plan,
         lambda s: (
-            (out := step_output(s)) is not None
+            (out := s.output_instance()) is not None
             and out.scheme.is_one_dimensional
-            and facts.consumers.get(out)
+            and out in flow.consumers
         ),
     )
-    victim = step_output(plan.steps[index])
+    victim = plan.steps[index].output_instance()
     redundant = ExtendedStep("partition", victim, victim)
-    redundant.stage = facts.available_stage[victim]
+    redundant.stage = flow.available_stage[victim]
     plan.steps.insert(index + 1, redundant)
-    plan.predicted_bytes += facts.nbytes(victim.name)
+    plan.predicted_bytes += _nbytes(plan, victim.name)
     return plan, context
 
 
 def _corrupt_dead_operator(plan: Plan, context: LintContext):
     """Append a transpose whose result nothing consumes."""
-    producer = _producer_map(plan)
+    producer = _dataflow(plan).publishers
     for instance in producer:
         if instance.name in plan.program.outputs:
             continue
@@ -216,14 +214,12 @@ def _corrupt_dead_operator(plan: Plan, context: LintContext):
 
 def _corrupt_transpose_pair(plan: Plan, context: LintContext):
     """Append a transpose and its inverse: the pair round-trips."""
-    producer = _producer_map(plan)
-    from repro.lint.facts import build_facts
-
-    facts = build_facts(plan)
+    flow = _dataflow(plan)
+    producer = flow.publishers
     for instance in producer:
         if not instance.scheme.is_one_dimensional:
             continue
-        if not facts.consumers.get(instance):
+        if instance not in flow.consumers:
             continue
         twin = MatrixInstance(
             instance.name, not instance.transposed, instance.scheme.opposite
@@ -259,8 +255,6 @@ def _corrupt_cpmm_choice(plan: Plan, context: LintContext):
         SourceStep(next(o for o in program.ops if o.output == b_name), b),
         MatMulStep(matmul, "cpmm", a, b, c),
     ]
-    from repro.core.estimator import SizeEstimator
-
     nbytes = SizeEstimator(program).nbytes(c_name)
     bad = Plan(
         program=program,
@@ -281,10 +275,8 @@ def _corrupt_rebroadcast(plan: Plan, context: LintContext):
     duplicate = ExtendedStep("broadcast", victim.source, victim.target)
     duplicate.stage = victim.stage
     plan.steps.insert(index + 1, duplicate)
-    from repro.lint.facts import build_facts
-
-    plan.predicted_bytes += (context.num_workers - 1) * build_facts(plan).nbytes(
-        victim.source.name
+    plan.predicted_bytes += (context.num_workers - 1) * _nbytes(
+        plan, victim.source.name
     )
     return plan, context
 
@@ -293,24 +285,22 @@ def _corrupt_cache_pins(plan: Plan, context: LintContext):
     """Pin every replica in the plan and declare a budget sized to the
     largest single replica: each replica fits on its own (DM106 silent,
     which requires strictly-over), but the pinned set as a whole cannot."""
-    from repro.lint.facts import build_facts
-
-    facts = build_facts(plan)
     replicas = sorted(
-        (i for i in facts.producer if i.scheme is Scheme.BROADCAST), key=str
+        (i for i in _dataflow(plan).publishers if i.scheme is Scheme.BROADCAST),
+        key=str,
     )
     if len(replicas) < 2:
         raise AssertionError("need >= 2 replicas for an overweight pin set")
     plan.cache_pins = tuple(replicas)
-    budget = max(facts.nbytes(i.name) for i in replicas)
+    budget = max(_nbytes(plan, i.name) for i in replicas)
     return plan, dataclasses.replace(context, memory_limit_bytes=budget)
 
 
 def _corrupt_scalar_order(plan: Plan, context: LintContext):
     """Replace the plan outright: a driver scalar's producing aggregate is
     moved *after* its consumer, dropping the ordering edge the stage graph
-    would otherwise guarantee (the PR-5 bug class: a pool thread reads
-    state before its producer's publish is visible).  Stages are left
+    would otherwise guarantee, so the read may be scheduled before the
+    publish it needs.  Stages are left
     untouched, so the stage-purity rule (which only watches matrix
     availability) stays silent; the dataflow rule ignores scalars too."""
     pb = ProgramBuilder()

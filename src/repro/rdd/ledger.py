@@ -73,8 +73,9 @@ class CommunicationLedger:
     @contextlib.contextmanager
     def scope(self, label: str) -> Iterator[None]:
         """Tag all transfers recorded inside the block with ``label``
-        (nested scopes join with ``/``).  Scopes are per-context: they
-        follow ``contextvars`` copies into pool threads."""
+        (nested scopes join with ``/``).  Scopes live in a ``contextvars``
+        variable, so sessions driven from different caller threads keep
+        separate scope stacks."""
         stacks = dict(_SCOPES.get())
         stacks[id(self)] = stacks.get(id(self), ()) + (label,)
         token = _SCOPES.set(stacks)

@@ -401,19 +401,14 @@ class PlanExecutor:
         from repro.errors import ReproError
 
         try:
-            from repro.verify.memory import predict_peak_memory
+            from repro.verify.memory import config_bounds, predict_peak_memory
 
-            return predict_peak_memory(
-                plan,
-                num_workers=config.num_workers,
-                threads_per_worker=config.threads_per_worker,
+            bounds = config_bounds(
+                config,
                 block_size=block_size,
-                inplace=getattr(config, "inplace", True),
                 max_concurrent_stages=self.max_concurrent_stages,
-                graph=graph,
-                strassen=getattr(config, "strassen", False),
-                strassen_min_size=getattr(config, "strassen_min_size", 128),
-            ).peak_bytes
+            )
+            return predict_peak_memory(plan, graph=graph, **bounds).peak_bytes
         except ReproError:
             return None
 

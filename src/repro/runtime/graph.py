@@ -1,4 +1,4 @@
-"""The stage graph: the unit of scheduling for the concurrent runtime.
+"""The stage graph: the unit of scheduling, and the plan's dataflow index.
 
 ``schedule_stages`` labels every step with a stage *number*, but numbers
 alone describe a chain -- stage 2 after stage 1 after nothing.  The paper's
@@ -9,11 +9,17 @@ independently".  :class:`StageGraph` recovers that structure:
 
 * steps sharing a stage number are split into **connected components** of
   the intra-stage dependency edges -- two same-numbered steps with no data
-  flowing between them land in different nodes and may run concurrently;
+  flowing between them land in different nodes, which the simulated clock
+  overlaps (the host runs the nodes one after another);
 * every node records the nodes it **depends on** (matrix and driver-scalar
   producers), giving the scheduler its ready set;
 * the **critical path** (the dependency chain with the most steps) is what
   the simulated clock charges under concurrent execution.
+
+The edges come from :class:`Dataflow`, the plan's one per-instance index
+(publishers, consumers, available stage).  The lint rules, hazard
+detection and the memory predictor all read it off the graph, so every
+analysis agrees on who produces what.
 
 Construction is total and read-only: a malformed plan (instances consumed
 before production, hand-corrupted stage numbers) still yields a graph, and
@@ -24,10 +30,56 @@ the lint's DM103 rule publishes.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.core.stages import schedule_stages
+
+
+@dataclasses.dataclass(frozen=True)
+class Dataflow:
+    """Who publishes and who reads every instance and driver scalar.
+
+    Lists hold plan step indices in ascending order, so the first
+    publisher is the producer; dicts are ordered by first appearance.
+    """
+
+    publishers: dict[MatrixInstance, list[int]]
+    consumers: dict[MatrixInstance, list[int]]
+    #: stage each instance becomes available in: a communicating producer
+    #: publishes one stage after it runs (Section 5.2); first producer wins
+    available_stage: dict[MatrixInstance, int]
+    scalar_publishers: dict[str, list[int]]
+    scalar_consumers: dict[str, list[int]]
+    #: (step index, instance) reads that precede every publish of the instance
+    unproduced: list[tuple[int, MatrixInstance]]
+
+    @classmethod
+    def of(cls, steps: Sequence[Step]) -> "Dataflow":
+        """One forward pass over a step list."""
+        flow = cls({}, {}, {}, {}, {}, [])
+        for index, step in enumerate(steps):
+            for instance in step.inputs():
+                flow.consumers.setdefault(instance, []).append(index)
+                if instance not in flow.publishers:
+                    flow.unproduced.append((index, instance))
+            for name in step.scalar_inputs():
+                flow.scalar_consumers.setdefault(name, []).append(index)
+            output = step.output_instance()
+            if output is not None:
+                flow.publishers.setdefault(output, []).append(index)
+                flow.available_stage.setdefault(
+                    output, step.stage + (1 if step.communicates else 0)
+                )
+            scalar = step.scalar_output()
+            if scalar is not None:
+                flow.scalar_publishers.setdefault(scalar, []).append(index)
+        return flow
+
+    def producer(self, instance: MatrixInstance) -> int | None:
+        """Index of the first step publishing ``instance``, if any."""
+        found = self.publishers.get(instance)
+        return found[0] if found else None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,7 +102,7 @@ class StageGraph:
         nodes: list[StageNode],
         step_deps: dict[int, frozenset[int]],
         node_of_step: dict[int, int],
-        available_stage: dict[MatrixInstance, int],
+        dataflow: Dataflow,
     ) -> None:
         self.plan = plan
         self.nodes = nodes
@@ -58,8 +110,7 @@ class StageGraph:
         self.step_deps = step_deps
         #: plan-step index -> index of the node containing it
         self.node_of_step = node_of_step
-        #: stage each instance becomes available in (first producer wins)
-        self.available_stage = available_stage
+        self.dataflow = dataflow
 
     # -- construction -------------------------------------------------------
 
@@ -69,31 +120,13 @@ class StageGraph:
         if plan.num_stages == 0:
             schedule_stages(plan)
         steps = plan.steps
+        flow = Dataflow.of(steps)
 
-        producer: dict[MatrixInstance, int] = {}
-        scalar_producer: dict[str, int] = {}
-        available: dict[MatrixInstance, int] = {}
         step_deps: dict[int, frozenset[int]] = {}
         for index, step in enumerate(steps):
-            deps = set()
-            for instance in step.inputs():
-                j = producer.get(instance)
-                if j is not None and j < index:
-                    deps.add(j)
-            for name in step.scalar_inputs():
-                j = scalar_producer.get(name)
-                if j is not None and j < index:
-                    deps.add(j)
-            step_deps[index] = frozenset(deps)
-            output = step.output_instance()
-            if output is not None:
-                producer.setdefault(output, index)
-                available.setdefault(
-                    output, step.stage + (1 if step.communicates else 0)
-                )
-            scalar = step.scalar_output()
-            if scalar is not None:
-                scalar_producer.setdefault(scalar, index)
+            found = [flow.publishers.get(i) for i in step.inputs()]
+            found += [flow.scalar_publishers.get(n) for n in step.scalar_inputs()]
+            step_deps[index] = frozenset(p[0] for p in found if p and p[0] < index)
 
         # Union steps connected by an intra-stage dependency edge: those must
         # run in one dispatch.  Cross-stage edges become graph edges instead.
@@ -140,7 +173,7 @@ class StageGraph:
             for i, g in enumerate(order)
         ]
         node_of_step = {s: node_index[g] for s, g in group_of_step.items()}
-        return cls(plan, nodes, step_deps, node_of_step, available)
+        return cls(plan, nodes, step_deps, node_of_step, flow)
 
     # -- structure ----------------------------------------------------------
 
@@ -187,7 +220,7 @@ class StageGraph:
         or a later stage than its consumer (the lint's DM103 defect)."""
         for index, step in enumerate(self.plan.steps):
             for instance in step.inputs():
-                available = self.available_stage.get(instance)
+                available = self.dataflow.available_stage.get(instance)
                 if available is not None and available > step.stage:
                     yield (index, instance, available)
 

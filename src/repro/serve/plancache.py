@@ -109,26 +109,15 @@ def plan_for_cache(session, program) -> CacheEntry:
     peak-memory analysis.  (The fingerprint is filled by the caller, which
     computed it before deciding to plan.)
     """
-    from repro.verify.memory import predict_peak_memory
+    from repro.verify.memory import config_bounds, predict_peak_memory
 
-    config = session.config
+    bounds = config_bounds(session.config, estimation_mode=session.estimation_mode)
     started = time.perf_counter()
     if isinstance(program, StagedProgram):
         plans = (session.plan(program.prologue), session.plan(program.body))
     else:
         plans = (session.plan(program),)
-    predictions = [
-        predict_peak_memory(
-            plan,
-            num_workers=config.num_workers,
-            threads_per_worker=config.threads_per_worker,
-            block_size=config.block_size,
-            inplace=config.inplace,
-            max_concurrent_stages=config.max_concurrent_stages,
-            estimation_mode=session.estimation_mode,
-        )
-        for plan in plans
-    ]
+    predictions = [predict_peak_memory(plan, **bounds) for plan in plans]
     elapsed = time.perf_counter() - started
     from repro.serve.admission import predict_flops
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from repro.frontend.staged import StagedProgram
 from repro.lang.program import MatrixProgram
 from repro.rdd.context import ClusterContext
 from repro.runtime.executor import ExecutionResult, PlanExecutor
+
+if TYPE_CHECKING:
+    from repro.verify.analysis import PlanAnalysis
 
 #: Session lint modes: "off" skips analysis, "warn" prints findings to
 #: stderr, "error" additionally refuses to execute plans with error-severity
@@ -187,10 +191,15 @@ class DMacSession:
                 program, inputs, trace=trace, chaos=chaos
             )
         plan = plan or self.plan(program)
-        if self.lint != "off":
-            self._lint(plan)
-        if self.verify != "off":
-            self._verify(plan)
+        if self.lint != "off" or self.verify != "off":
+            from repro.verify import analyse_plan
+
+            # One analysis, stage graph and hazard list for both checks.
+            analysis = analyse_plan(plan)
+            if self.lint != "off":
+                self._lint(plan, analysis)
+            if self.verify != "off":
+                self._verify(plan, analysis)
         if tracer is None and self.trace:
             from repro.trace import TraceCollector
 
@@ -255,11 +264,13 @@ class DMacSession:
             previous = segment_result
         return aggregate(staged, records)
 
-    def _lint(self, plan: Plan) -> None:
+    def _lint(self, plan: Plan, analysis: PlanAnalysis) -> None:
         from repro.lint import LintContext, lint_plan
 
         report = lint_plan(
-            plan, LintContext.from_config(self.config, self.estimation_mode)
+            plan,
+            LintContext.from_config(self.config, self.estimation_mode),
+            analysis=analysis,
         )
         if not report.diagnostics:
             return
@@ -269,17 +280,14 @@ class DMacSession:
             )
         print(report.format_human(), file=sys.stderr)
 
-    def _verify(self, plan: Plan) -> None:
+    def _verify(self, plan: Plan, analysis: PlanAnalysis) -> None:
         from repro.verify import verify_plan
+        from repro.verify.memory import config_bounds
 
         report = verify_plan(
             plan,
-            num_workers=self.config.num_workers,
-            threads_per_worker=self.config.threads_per_worker,
-            block_size=self.config.block_size,
-            inplace=self.config.inplace,
-            max_concurrent_stages=self.config.max_concurrent_stages,
-            estimation_mode=self.estimation_mode,
+            analysis=analysis,
+            **config_bounds(self.config, estimation_mode=self.estimation_mode),
         )
         if not report.has_errors:
             return

@@ -19,16 +19,34 @@ Four analyses ship:
   bounded number of passes.
 * **liveness** (backward, powerset): instances still needed after each
   step; one reverse sweep suffices on the acyclic per-instance plan.
+
+:class:`PlanAnalysis` bundles the four results with the plan's
+:class:`~repro.runtime.graph.StageGraph` (and through it the
+:class:`~repro.runtime.graph.Dataflow` index) and its hazard list, both
+built on first use: translation validation analyses every rewrite but
+never asks for them, while the lint rules and :func:`verify_plan` share
+one graph and one hazard list per checked plan.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+import functools
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.core.plan import MatrixInstance, Plan, Step
 from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
+from repro.runtime.graph import StageGraph
 from repro.runtime.registry import OPERATORS
 from repro.verify.engine import FixpointResult, solve
 from repro.verify.lattice import (
@@ -39,6 +57,9 @@ from repro.verify.lattice import (
     PowersetLattice,
 )
 
+if TYPE_CHECKING:
+    from repro.verify.hazards import Hazard
+
 Shape = Tuple[int, int]
 #: Version key for the layout analysis: (logical name, transposed).
 VersionKey = Tuple[str, bool]
@@ -47,6 +68,15 @@ VersionKey = Tuple[str, bool]
 def base_name(name: str) -> str:
     """Strip the SSA version suffix: ``"W@2" -> "W"``."""
     return name.split("@", 1)[0]
+
+
+def declared_shape(plan: Plan, instance: MatrixInstance) -> Optional[Shape]:
+    """The program-declared shape of an instance (transpose-adjusted)."""
+    dims = plan.program.dims.get(instance.name)
+    if dims is None:
+        return None
+    rows, cols = dims
+    return (cols, rows) if instance.transposed else (rows, cols)
 
 
 def _spec_name(step: Step) -> Optional[str]:
@@ -252,8 +282,10 @@ def solve_liveness(plan: Plan) -> Tuple[FrozenSet[MatrixInstance], ...]:
 
 @dataclasses.dataclass(frozen=True)
 class PlanAnalysis:
-    """Stable facts for one plan, as computed by the fixpoint engine."""
+    """Stable facts for one plan, as computed by the fixpoint engine, plus
+    its stage graph and hazards on demand."""
 
+    plan: Plan = dataclasses.field(compare=False, repr=False)
     shapes: Mapping[MatrixInstance, object]  # (rows, cols) | TOP
     layouts: Mapping[VersionKey, FrozenSet[Scheme]]
     nnz: Mapping[str, Optional[Interval]]
@@ -268,6 +300,16 @@ class PlanAnalysis:
     def nnz_of(self, name: str) -> Optional[Interval]:
         return self.nnz.get(base_name(name))
 
+    @functools.cached_property
+    def graph(self) -> StageGraph:
+        return StageGraph.from_plan(self.plan)
+
+    @functools.cached_property
+    def hazards(self) -> Tuple["Hazard", ...]:
+        from repro.verify.hazards import find_hazards
+
+        return tuple(find_hazards(self.graph))
+
 
 def analyse_plan(plan: Plan, *, widen_after: int = 3) -> PlanAnalysis:
     """Run all four analyses to fixpoint and bundle the stable facts."""
@@ -276,6 +318,7 @@ def analyse_plan(plan: Plan, *, widen_after: int = 3) -> PlanAnalysis:
     nnz = solve_nnz(plan, widen_after=widen_after)
     live_after = solve_liveness(plan)
     return PlanAnalysis(
+        plan=plan,
         shapes=shapes.values,
         layouts=layouts.values,
         nnz=nnz.values,

@@ -4,24 +4,26 @@ The runtime's :class:`~repro.runtime.resources.ResourceManager` gives every
 block instance publish/consume/release semantics: a kernel *publishes* its
 output once, *consumes* its inputs, and the manager releases an instance
 when its refcount drains.  Those events are implicit in the plan -- each
-step's output is its publish, its inputs its consumes -- so the full event
-schedule can be checked **before** execution against the ordering the
-:class:`~repro.runtime.graph.StageGraph` actually guarantees:
+step's output is its publish, its inputs its consumes, as recorded in the
+stage graph's :class:`~repro.runtime.graph.Dataflow` index -- so the full
+event schedule can be checked **before** execution against the ordering
+the :class:`~repro.runtime.graph.StageGraph` actually guarantees:
 
-* within a node, steps run serially in ascending plan order;
+* within a node, steps run in ascending plan order;
 * across nodes, only the transitive closure of the node ``deps`` edges
-  orders anything.  Two nodes without a path between them may run
-  concurrently on pool threads.
+  orders anything.  Two nodes without a path between them may run at the
+  same time on the modelled cluster; the host happens to run nodes in
+  index order, which would hide the defect rather than fix it.
 
 A *read-before-publish* hazard is a step consuming an instance (or driver
 scalar) that some step produces -- but no producer is ordered before the
-consumer.  This is exactly the PR-5 bug class: a missing ordering edge let
-a pool thread touch state before its producer's publish was visible.  A
-*double-publish* hazard is two steps publishing conflicting values for the
-same logical matrix -- the runtime would raise ``produced twice`` at
-whichever publish loses the race.  Re-publications of the *same* symbolic
-value (a duplicated broadcast, a transpose round-trip) are redundancy, not
-a race for the value, and are left to the DM2xx inefficiency rules.
+consumer: a missing ordering edge lets the read run before the publish.
+A *double-publish* hazard is two steps publishing conflicting values for
+the same logical matrix -- the runtime would raise ``produced twice`` at
+whichever publish comes second, and the schedule does not say which.
+Re-publications of the *same* symbolic value (a duplicated broadcast, a
+transpose round-trip) are redundancy, not a race for the value, and are
+left to the DM2xx inefficiency rules.
 
 Inputs with no producer anywhere in the plan are skipped here: dangling
 dataflow is DM107's finding, not an ordering defect.
@@ -30,9 +32,8 @@ dataflow is DM107's finding, not an ordering defect.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.core.plan import MatrixInstance
 from repro.runtime.graph import StageGraph
 from repro.verify.certify import value_summary
 
@@ -87,15 +88,8 @@ def find_hazards(graph: StageGraph) -> List[Hazard]:
     """All read-before-publish and double-publish hazards in the graph."""
     plan = graph.plan
     masks = ancestor_masks(graph)
-    publishers: Dict[MatrixInstance, List[int]] = {}
-    scalar_publishers: Dict[str, List[int]] = {}
-    for index, step in enumerate(plan.steps):
-        output = step.output_instance()
-        if output is not None:
-            publishers.setdefault(output, []).append(index)
-        scalar = step.scalar_output()
-        if scalar is not None:
-            scalar_publishers.setdefault(scalar, []).append(index)
+    publishers = graph.dataflow.publishers
+    scalar_publishers = graph.dataflow.scalar_publishers
 
     hazards: List[Hazard] = []
 
@@ -109,8 +103,8 @@ def find_hazards(graph: StageGraph) -> List[Hazard]:
                 subject=subject,
                 detail=(
                     f"produced at step(s) {producers} but no ordering edge "
-                    f"reaches step {consumer}; a pool thread may read the "
-                    "instance before its publish is visible"
+                    f"reaches step {consumer}; the schedule may run the read "
+                    "before the publish"
                 ),
             )
         )

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.blocks.conversion import DEFAULT_SPARSE_THRESHOLD
 from repro.blocks.memory import (
@@ -48,7 +48,7 @@ from repro.blocks.memory import (
     dense_block_model_bytes,
     matrix_model_bytes,
 )
-from repro.config import DEFAULT_MAX_CONCURRENT_STAGES
+from repro.config import DEFAULT_MAX_CONCURRENT_STAGES, ClusterConfig
 from repro.core.estimator import SizeEstimator
 from repro.core.plan import (
     CellwiseStep,
@@ -62,7 +62,7 @@ from repro.core.plan import (
 from repro.errors import PlanError
 from repro.matrix.schemes import Scheme
 from repro.runtime.graph import StageGraph
-from repro.verify.analysis import PlanAnalysis, analyse_plan
+from repro.verify.analysis import PlanAnalysis, analyse_plan, declared_shape
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,14 +180,11 @@ class _Sizer:
         self._cache: Dict[Tuple[MatrixInstance, bool], int] = {}
 
     def shape(self, instance: MatrixInstance) -> Tuple[int, int]:
-        fact = self._analysis.shape_of(instance)
-        if fact is not None:
-            return fact
-        declared = self._plan.program.dims.get(instance.name)
-        if declared is None:
-            return (0, 0)
-        rows, cols = declared
-        return (cols, rows) if instance.transposed else (rows, cols)
+        return (
+            self._analysis.shape_of(instance)
+            or declared_shape(self._plan, instance)
+            or (0, 0)
+        )
 
     def sparsity(self, instance: MatrixInstance) -> float:
         try:
@@ -298,6 +295,38 @@ def _transient_bytes(
     return 0
 
 
+def config_bounds(
+    config: ClusterConfig,
+    *,
+    estimation_mode: str = "worst",
+    block_size: Optional[int] = None,
+    max_concurrent_stages: Optional[int] = None,
+) -> Dict[str, Any]:
+    """:func:`predict_peak_memory` keywords for a run on ``config``.
+
+    The one mapping from a cluster configuration to the predictor, shared
+    by the executor, serve admission, the session's verify mode and
+    ``repro verify`` so their bounds agree.  ``block_size`` and
+    ``max_concurrent_stages`` override the configured values (the executor
+    passes the block size its backend resolved and the concurrency it
+    schedules with).
+    """
+    return {
+        "num_workers": config.num_workers,
+        "threads_per_worker": config.threads_per_worker,
+        "block_size": config.block_size if block_size is None else block_size,
+        "inplace": config.inplace,
+        "max_concurrent_stages": (
+            config.max_concurrent_stages
+            if max_concurrent_stages is None
+            else max_concurrent_stages
+        ),
+        "estimation_mode": estimation_mode,
+        "strassen": config.strassen,
+        "strassen_min_size": config.strassen_min_size,
+    }
+
+
 def predict_peak_memory(
     plan: Plan,
     *,
@@ -319,7 +348,7 @@ def predict_peak_memory(
     concurrency.  Pass ``max_concurrent_stages=1`` for the serial bound.
     """
     analysis = analysis or analyse_plan(plan)
-    graph = graph or StageGraph.from_plan(plan)
+    graph = graph or analysis.graph
     if block_size is None:
         rows, cols = max(
             plan.program.dims.values(), key=lambda shape: shape[0] * shape[1]
@@ -336,14 +365,9 @@ def predict_peak_memory(
     ]
 
     # Pins charge at their producer's publish and stay resident to the end.
-    producer_of: Dict[MatrixInstance, int] = {}
-    for index, step in enumerate(plan.steps):
-        output = step.output_instance()
-        if output is not None:
-            producer_of.setdefault(output, index)
     admitted_at: Dict[int, int] = {}
     for pin in plan.cache_pins:
-        index = producer_of.get(pin, 0)
+        index = graph.dataflow.producer(pin) or 0
         admitted_at[index] = admitted_at.get(index, 0) + sizer.share(pin)
     pin_prefix: List[int] = []
     running = 0

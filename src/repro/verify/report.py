@@ -3,21 +3,23 @@
 :func:`verify_plan` runs the fixpoint analyses once and feeds all three
 framework clients from the shared facts: the hazard detector, the memory
 predictor, and the translation-validation audit trail the optimizer left
-on ``plan.certificates``.  The result renders to the CLI's human listing
-or ``--format json`` document.
+on ``plan.certificates``.  The facts, stage graph and hazard list live on
+one :class:`~repro.verify.analysis.PlanAnalysis`, which the lint rules
+read too, so a plan that is both linted and verified is analysed once.
+The result renders to the CLI's human listing or ``--format json``
+document.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.plan import Plan
-from repro.runtime.graph import StageGraph
 from repro.verify.analysis import PlanAnalysis, analyse_plan
 from repro.verify.certify import Certificate
-from repro.verify.hazards import Hazard, find_hazards
+from repro.verify.hazards import Hazard
 from repro.verify.memory import MemoryPrediction, predict_peak_memory
 
 
@@ -98,38 +100,28 @@ class VerificationReport:
 def verify_plan(
     plan: Plan,
     *,
-    num_workers: int,
-    threads_per_worker: int = 8,
-    block_size: Optional[int] = None,
-    inplace: bool = True,
-    max_concurrent_stages: Optional[int] = None,
-    estimation_mode: str = "worst",
     target: str = "plan",
     analysis: Optional[PlanAnalysis] = None,
+    **bounds: Any,
 ) -> VerificationReport:
-    """Run the full static verification suite over one (staged) plan."""
+    """Run the full static verification suite over one (staged) plan.
+
+    ``bounds`` are :func:`~repro.verify.memory.predict_peak_memory`'s
+    keywords (``num_workers`` is required); for a cluster configuration,
+    :func:`~repro.verify.memory.config_bounds` builds them.  A caller that
+    already analysed the plan passes ``analysis`` and shares its stage
+    graph and hazard list.
+    """
     analysis = analysis or analyse_plan(plan)
-    graph = StageGraph.from_plan(plan)
-    hazards = tuple(find_hazards(graph))
-    memory = predict_peak_memory(
-        plan,
-        num_workers=num_workers,
-        threads_per_worker=threads_per_worker,
-        block_size=block_size,
-        inplace=inplace,
-        max_concurrent_stages=max_concurrent_stages,
-        estimation_mode=estimation_mode,
-        analysis=analysis,
-        graph=graph,
-    )
+    memory = predict_peak_memory(plan, analysis=analysis, **bounds)
     certificates = tuple(
         c for c in plan.certificates if isinstance(c, Certificate)
     )
     return VerificationReport(
         target=target,
         num_steps=len(plan.steps),
-        num_nodes=len(graph.nodes),
-        hazards=hazards,
+        num_nodes=len(analysis.graph.nodes),
+        hazards=analysis.hazards,
         certificates=certificates,
         memory=memory,
         iterations=analysis.iterations,

@@ -88,11 +88,12 @@ class TestLookup:
 
 class TestSharedFacets:
     def test_shape_rules_agree_with_lint_facts(self):
-        """The lint's interpreter and the registry are the same table."""
-        from repro.lint.facts import build_facts
+        """The shapes the lint rules read (verify's fixpoint analysis) and
+        the registry's shape rules are the same table."""
+        from repro.verify.analysis import analyse_plan
 
         plan = staged_gnmf_plan()
-        facts = build_facts(plan)
+        analysis = analyse_plan(plan)
         shapes = {}
         for step in plan.steps:
             output = step.output_instance()
@@ -101,7 +102,7 @@ class TestSharedFacets:
             shape = spec_for(step).shape_rule(step, shapes)
             if shape is not None:
                 shapes[output] = shape
-        assert shapes == facts.shapes
+        assert shapes == dict(analysis.shapes)
 
     def test_edge_labels_match_strategies(self):
         plan = staged_gnmf_plan()

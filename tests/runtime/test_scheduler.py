@@ -11,7 +11,7 @@ from repro.core.stages import schedule_stages
 from repro.lang.program import ProgramBuilder
 from repro.rdd.context import ClusterContext
 from repro.runtime.executor import PlanExecutor
-from repro.runtime.graph import StageGraph, StageNode
+from repro.runtime.graph import Dataflow, StageGraph, StageNode
 from repro.runtime.metering import StageMeter
 from repro.runtime.scheduler import StageScheduler
 
@@ -33,7 +33,7 @@ def synthetic_graph(deps_of: dict[int, tuple[int, ...]]) -> StageGraph:
         for i in sorted(deps_of)
     ]
     return StageGraph(plan=None, nodes=nodes, step_deps={}, node_of_step={},
-                      available_stage={})
+                      dataflow=Dataflow.of(()))
 
 
 def metered_runner(durations: dict[int, float]):

@@ -68,8 +68,8 @@ def seven_apps():
 
 @pytest.fixture
 def traced_session():
-    """A session on a cluster whose engines use pool threads (L=2), so the
-    trace exercises context propagation into block tasks."""
+    """A session on 4 workers with L=2 modelled threads each and 8x8
+    blocks, so traces hold many block-task spans per stage."""
     return DMacSession(
         ClusterConfig(num_workers=4, threads_per_worker=2, block_size=8)
     )
